@@ -12,14 +12,9 @@ Usage:
 
 import argparse
 import random
-import sys
-from fractions import Fraction
-from pathlib import Path
 
-from ramsmooth import ReefInstance, format_rational, residual_profile
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import make_random_table  # noqa: E402
+from ramsmooth import CorrelationTable, ReefInstance, format_rational, \
+    parse_rational, residual_profile, seeded_instance
 
 
 def show(profile, label):
@@ -33,17 +28,19 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--instances", type=int, default=5)
-    parser.add_argument("--delta", default="1/4")
+    parser.add_argument("--delta", type=parse_rational, default="1/4")
     args = parser.parse_args()
-    delta = Fraction(args.delta)
+    delta = args.delta
+    if not 0 < delta < 1:
+        parser.error("--delta must lie in (0, 1)")
 
     canonical = ReefInstance(N=100, Q=10, n0=2, q0=3).table()
     show(residual_profile(canonical, 60, delta), "point-mass vs c_3")
 
     rng = random.Random(args.seed)
     for tag in range(args.instances):
-        table = make_random_table(rng, tag, max_N=100,
-                                  q_choices=(2, 3, 4, 5, 6, 7, 8, 9, 10))
+        table = CorrelationTable(*seeded_instance(
+            rng, tag, max_N=100, q_choices=(2, 3, 4, 5, 6, 7, 8, 9, 10)))
         profile = residual_profile(table, min(table.N, 50), delta)
         show(profile, f"seeded instance {tag}")
 

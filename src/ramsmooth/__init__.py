@@ -43,6 +43,7 @@ from .correlations import (
     TailSplitRecord,
     correlation,
     expansion_tail_term,
+    seeded_instance,
     tail_split_identity,
 )
 from .functions import (
@@ -99,7 +100,7 @@ from .smooth import (
     TailParams,
     best_tail_params,
     euler_product_upper,
-    rankin_tail_bound,
+    refine_cutoff,
     sifted_count,
     smooth_power_series,
     smooth_tail_bound,

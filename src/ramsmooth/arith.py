@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Mapping
+from typing import Mapping
 
 _PRIME_CACHE: list[int] = [2, 3, 5, 7, 11, 13]
 
@@ -195,19 +195,6 @@ def inverse_transform(table: FunctionTable) -> FunctionTable:
     return FunctionTable(X, tuple(out[1:]))
 
 
-def dirichlet_convolve(f: FunctionTable, g: FunctionTable) -> FunctionTable:
-    """(f * g)(n) = sum_{d|n} f(d) g(n/d) on the common window."""
-    X = min(f.upper, g.upper)
-    out = [Fraction(0)] * (X + 1)
-    for d in range(1, X + 1):
-        fd = f(d)
-        if fd == 0:
-            continue
-        for n in range(d, X + 1, d):
-            out[n] += fd * g(n // d)
-    return FunctionTable(X, tuple(out[1:]))
-
-
 def lcm_range(upper: int) -> int:
     """lcm(2, ..., upper); 1 when upper < 2."""
     out = 1
@@ -215,12 +202,3 @@ def lcm_range(upper: int) -> int:
         out = out * k // gcd(out, k)
     return out
 
-
-def as_fraction_table(upper: int, pairs: Iterable[tuple[int, Fraction]]) -> FunctionTable:
-    """Table from sparse (n, value) pairs; unspecified entries are 0."""
-    vals = [Fraction(0)] * upper
-    for n, v in pairs:
-        if not 1 <= n <= upper:
-            raise ValueError(f"index {n} outside [1, {upper}]")
-        vals[n - 1] = Fraction(v)
-    return FunctionTable(upper, tuple(vals))

@@ -21,10 +21,10 @@ from pathlib import Path
 
 from .arith import euler_phi, factorize, lcm_range, mobius
 from .coefficients import coefficient_record, expansion_partial
-from .correlations import CorrelationTable
+from .correlations import CorrelationTable, seeded_instance
 from .functions import ArithmeticFunctionSpec, CertificateError, RangeQFunction, \
     build_range_q, catalog_spec, format_rational, parse_function_file, \
-    parse_rational, range_q_constant_one, range_q_ramanujan, spec_from_table
+    parse_rational, range_q_constant_one, range_q_ramanujan
 from .orthogonality import orthogonality_exact, orthogonality_truncated_auto
 from .reef import counterexample_report, find_shifted_orthogonality_violations, \
     reef_report, residual_profile, ReefInstance
@@ -302,20 +302,6 @@ def _cmd_reef_residual(cfg: RunConfig) -> tuple[int, list[dict]]:
     return EXIT_PASS, []
 
 
-def _random_instance(rng: random.Random, tag: int = 0):
-    """Seeded small BH instance: rational f table and g' table."""
-    Q = rng.choice([1, 2, 3, 4, 5, 6])
-    N = rng.randint(max(Q, 8), 40)
-    dens = [1, 2, 3, 4]
-    f_entries = {n: Fraction(rng.randint(-9, 9), rng.choice(dens))
-                 for n in range(1, N + 1)}
-    f_spec = spec_from_table(f"random-f-{tag}", "direct", f_entries)
-    gprime = {d: Fraction(rng.randint(-6, 6), rng.choice(dens))
-              for d in range(1, Q + 1)}
-    g = build_range_q(Q, gprime)
-    return f_spec, g, N
-
-
 def _cmd_verify_all(cfg: RunConfig) -> tuple[int, list[dict]]:
     failures: list[dict] = []
     rng = random.Random(cfg.seed)
@@ -365,7 +351,8 @@ def _cmd_verify_all(cfg: RunConfig) -> tuple[int, list[dict]]:
     # random correlation instances: decomposition + three-way coefficients
     ok_dec = ok_coeff = True
     for i in range(5):
-        f_spec, g, N = _random_instance(rng, i)
+        f_spec, g, N = seeded_instance(rng, i, max_N=40,
+                                       q_choices=(1, 2, 3, 4, 5, 6))
         table = CorrelationTable(f_spec, g, N)
         for a in range(1, table.period + 1):
             if table.decomposition_rhs(a) != table.value(a):
@@ -448,7 +435,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--shift-bound", type=int, default=None, dest="shift_bound")
     p.add_argument("--x-start", type=int, default=10_000, dest="x_start")
     p.add_argument("--x-cap", type=int, default=10 ** 9, dest="x_cap")
-    p.add_argument("--target-radius", default="1/1000", dest="target_radius")
+    p.add_argument("--target-radius", type=parse_rational, default="1/1000",
+                   dest="target_radius")
     p.add_argument("--max-witnesses", type=int, default=1, dest="max_witnesses")
 
     p = add_parser("reef-residual", help="expansion defect profile")
@@ -459,7 +447,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--f", default=None)
     p.add_argument("--g", default=None)
     p.add_argument("--a-max", type=int, required=True, dest="a_max")
-    p.add_argument("--delta", default="1/4")
+    p.add_argument("--delta", type=parse_rational, default="1/4")
 
     add_parser("verify-all", help="run the compact identity suite")
     return parser
@@ -476,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     outdir = Path(ns.out or os.environ.get(OUTDIR_ENV) or ".")
     options = {k: v for k, v in vars(ns).items()
                if k not in ("command", "out", "seed")}
-    for key in ("target_radius", "delta"):
-        if key in options and isinstance(options[key], str):
-            options[key] = parse_rational(options[key])
     cfg = RunConfig(command=ns.command, outdir=outdir, seed=ns.seed,
                     options=options)
     if cfg.command == "conjecture1":

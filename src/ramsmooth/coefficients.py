@@ -27,7 +27,7 @@ from .functions import ArithmeticFunctionSpec, CertificateError, FiniteSupport, 
 from .intervals import BoundedValue, interval_sum
 from .orthogonality import pair_series_exact
 from .smooth import SmoothContext, TailParams, best_tail_params, \
-    euler_product_upper, smooth_tail_bound, smooth_up_to
+    euler_product_upper, refine_cutoff, smooth_tail_bound, smooth_up_to
 
 
 class PeriodicityError(ValueError):
@@ -80,29 +80,24 @@ def wintner_to_target(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
                       ) -> BoundedValue:
     """Double the cutoff until the certified radius meets the target.
 
-    Fails loudly at the cap; rigor is never traded for termination.
+    Tail parameters use the spec's certified growth exponent (0 without
+    one).  Fails loudly at the cap; rigor is never traded for termination.
     """
-    target_radius = Fraction(target_radius)
-    X = x_start
-    while True:
-        got = wintner_restricted(spec, ctx, ell,
-                                 best_tail_params_for(spec, ctx, X))
-        if got.radius <= target_radius:
-            return got
-        if X >= x_cap:
-            raise ArithmeticError(
-                f"{spec.name}: wintner radius target {target_radius} "
-                f"unreachable below cutoff cap {x_cap}")
-        X = min(X * 2, x_cap)
-
-
-def best_tail_params_for(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                         X: int) -> TailParams:
-    """Grid-optimal TailParams using the spec's certified growth exponent."""
     cert = spec.transform_certificate
-    if isinstance(cert, GrowthCertificate):
-        return best_tail_params(ctx, cert.exponent, X)
-    return best_tail_params(ctx, Fraction(0), X)
+    epsilon = cert.exponent if isinstance(cert, GrowthCertificate) \
+        else Fraction(0)
+
+    def evaluate(X):
+        got = wintner_restricted(spec, ctx, ell,
+                                 best_tail_params(ctx, epsilon, X))
+        return got, got.radius
+
+    got, _, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
+    if not met:
+        raise ArithmeticError(
+            f"{spec.name}: wintner radius target {Fraction(target_radius)} "
+            f"unreachable below cutoff cap {x_cap}")
+    return got
 
 
 def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,

@@ -12,6 +12,7 @@ correlation, and both the certified (smooth side) and empirical
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,7 +21,8 @@ import numpy as np
 
 from .arith import divisors, euler_phi, mobius, ramanujan_sum, lcm_range
 from .coefficients import carmichael_periodic_exact
-from .functions import ArithmeticFunctionSpec, RangeQFunction
+from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
+    spec_from_table
 from .intervals import BoundedValue, interval_sum
 from .smooth import SmoothContext, best_tail_params, smooth_tail_bound, \
     smooth_up_to
@@ -54,6 +56,23 @@ def correlation(f_spec: ArithmeticFunctionSpec, g: RangeQFunction,
         raise BasicHypothesisError(f"range {g.Q} exceeds length {N}")
     return sum((f_spec.evaluate(n) * g(n + a) for n in range(1, N + 1)),
                Fraction(0))
+
+
+def seeded_instance(rng: random.Random, tag: int, *, max_N: int = 100,
+                    q_choices=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+                    ) -> tuple[ArithmeticFunctionSpec, RangeQFunction, int]:
+    """Seeded instance (f, g, N): a rational f table on [1, N] and a
+    range-Q g from rational g' on [1, Q], Q drawn from q_choices and N
+    from [max(Q, 8), max_N].  The draws depend only on the rng state."""
+    Q = rng.choice(q_choices)
+    N = rng.randint(max(Q, 8), max_N)
+    dens = (1, 2, 3, 4, 6)
+    f_entries = {n: Fraction(rng.randint(-9, 9), rng.choice(dens))
+                 for n in range(1, N + 1)}
+    f_spec = spec_from_table(f"seeded-f-{tag}", "direct", f_entries)
+    gprime = {d: Fraction(rng.randint(-6, 6), rng.choice(dens))
+              for d in range(1, Q + 1)}
+    return f_spec, build_range_q(Q, gprime), N
 
 
 class CorrelationTable:

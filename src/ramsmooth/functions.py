@@ -354,10 +354,14 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """Exact `p/q` or integer; ValueError otherwise, zero q included."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return Fraction(int(text))
 
 

@@ -18,7 +18,7 @@ from math import gcd
 from .arith import divisors, euler_phi, mobius, ramanujan_sum
 from .intervals import BoundedValue
 from .smooth import SmoothContext, SmoothSeries, TailParams, best_tail_params, \
-    rankin_tail_bound
+    refine_cutoff, smooth_tail_bound
 
 
 def orthogonality_exact(q: int, ell: int) -> Fraction:
@@ -107,7 +107,8 @@ def orthogonality_truncated(ctx: SmoothContext, q: int, ell: int,
     if series is None:
         series = SmoothSeries(ctx, tp.truncation)
     partial = pair_series_partial(series, q, ell, tp.truncation)
-    radius = ctx.totient_product * q * ell * rankin_tail_bound(ctx, tp)
+    radius = ctx.totient_product * q * ell * \
+        smooth_tail_bound(ctx, tp.epsilon, tp.delta, tp.truncation)
     return BoundedValue(ctx.totient_product * partial, radius)
 
 
@@ -121,17 +122,16 @@ def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
 
     Raises ArithmeticError at the cap instead of silently losing rigor.
     """
-    target_radius = Fraction(target_radius)
-    X = x_start
-    while True:
+    def evaluate(X):
         tp = best_tail_params(ctx, Fraction(0), X)
-        radius = ctx.totient_product * q * ell * rankin_tail_bound(ctx, tp)
-        if radius <= target_radius:
-            break
-        if X >= x_cap:
-            raise ArithmeticError(
-                f"radius target {target_radius} unreachable below cutoff cap {x_cap}")
-        X = min(X * 2, x_cap)
+        return tp, ctx.totient_product * q * ell * \
+            smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
+
+    tp, X, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
+    if not met:
+        raise ArithmeticError(
+            f"radius target {Fraction(target_radius)} unreachable below "
+            f"cutoff cap {x_cap}")
     if series_cache is not None and X in series_cache:
         series = series_cache[X]
     else:
@@ -155,7 +155,8 @@ def absolute_convergence_bound(ctx: SmoothContext, q: int, ell: int,
     partial = Fraction(0)
     for t in smooth_up_to(ctx, tp.truncation):
         partial += Fraction(abs(ramanujan_sum(q, t) * ramanujan_sum(ell, t)), t)
-    tail = q * ell * rankin_tail_bound(ctx, tp)
+    tail = q * ell * smooth_tail_bound(ctx, tp.epsilon, tp.delta,
+                                       tp.truncation)
     return BoundedValue(partial + tail / 2, tail / 2)
 
 

@@ -21,7 +21,7 @@ from .functions import ArithmeticFunctionSpec, RangeQFunction, point_mass, \
 from .correlations import CorrelationTable
 from .intervals import BoundedValue
 from .smooth import SmoothContext, SmoothSeries, best_tail_params, \
-    rankin_tail_bound, smooth_up_to
+    refine_cutoff, smooth_tail_bound, smooth_up_to
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
         num += cq[(n + t) % q] * cl[t % ell] * (denom // t)
     partial = Fraction(num, denom)
     tp = best_tail_params(ctx, Fraction(0), X)
-    radius = ctx.totient_product * q * ell * rankin_tail_bound(ctx, tp)
+    radius = ctx.totient_product * q * ell * \
+        smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
     claimed = Fraction(ramanujan_sum(ell, n)) if q == ell else Fraction(0)
     return ShiftedOrthogonalityPoint(
         q=q, ell=ell, n=n, value=BoundedValue(ctx.totient_product * partial, radius),
@@ -172,7 +173,6 @@ def find_shifted_orthogonality_violations(
     cutoff up to the cap; points still straddling the claim at the cap
     are reported undecided, never as passes.
     """
-    target_radius = Fraction(target_radius)
     indices = smooth_up_to(ctx, index_bound)
     shifts = []
     for m in range(1, shift_bound + 1):
@@ -180,26 +180,29 @@ def find_shifted_orthogonality_violations(
     witnesses: list[ShiftedOrthogonalityPoint] = []
     undecided: list[ShiftedOrthogonalityPoint] = []
     series_cache: dict[int, SmoothSeries] = {}
+
+    def evaluate(q, ell, n, X):
+        series = series_cache.get(X)
+        if series is None:
+            series = SmoothSeries(ctx, X)
+            series_cache[X] = series
+        point = shifted_orthogonality_eval(ctx, q, ell, n, X, series)
+        # an interval that already excludes the claim needs no narrowing:
+        # radius 0 makes refine_cutoff stop at the first X that excludes it
+        return point, 0 if point.violated else point.value.radius
+
     checked = 0
     for q in indices:
         for ell in indices:
             for n in shifts:
                 checked += 1
-                X = x_start
-                while True:
-                    series = series_cache.get(X)
-                    if series is None:
-                        series = SmoothSeries(ctx, X)
-                        series_cache[X] = series
-                    point = shifted_orthogonality_eval(ctx, q, ell, n, X, series)
-                    if point.violated:
-                        witnesses.append(point)
-                        break
-                    if point.value.radius <= target_radius or X >= x_cap:
-                        if point.value.radius > target_radius:
-                            undecided.append(point)
-                        break
-                    X = min(X * 2, x_cap)
+                point, _, met = refine_cutoff(
+                    lambda X: evaluate(q, ell, n, X), target_radius,
+                    x_start, x_cap)
+                if point.violated:
+                    witnesses.append(point)
+                elif not met:
+                    undecided.append(point)
                 if witnesses and stop_after and len(witnesses) >= stop_after:
                     return SweepOutcome(tuple(witnesses), tuple(undecided), checked)
     return SweepOutcome(tuple(witnesses), tuple(undecided), checked)
@@ -252,6 +255,8 @@ def residual_profile(table: CorrelationTable, a_max: int,
         raise ValueError("need a_max >= 1")
     if a_max > table.N:
         raise ValueError("shift window must stay within the length")
+    if not 0 < delta < 1:
+        raise ValueError("envelope exponent delta must lie in (0, 1)")
     rows = []
     coeffs = [(ell, table.coefficient(ell)) for ell in range(1, table.g.Q + 1)]
     for a in range(1, a_max + 1):

@@ -179,19 +179,16 @@ class TailParams:
             raise ValueError("truncation must be >= 1")
 
 
-def rankin_tail_bound(ctx: SmoothContext, tp: TailParams) -> Fraction:
+def smooth_tail_bound(ctx: SmoothContext, epsilon: Fraction, delta: Fraction,
+                      X: int) -> Fraction:
     """Certified B >= sum over Q-smooth t > X of t**(epsilon-1).
 
     Rankin's trick: each tail term t**(eps-1) <= (t/X)**delta * t**(eps-1),
     so the tail is at most X**(-delta) times the full smooth series with
     exponent eps+delta-1, an Euler product.  All irrational powers are
-    replaced by certified rational upper bounds.
+    replaced by certified rational upper bounds.  For TailParams tp the
+    bound is smooth_tail_bound(ctx, tp.epsilon, tp.delta, tp.truncation).
     """
-    return smooth_tail_bound(ctx, tp.epsilon, tp.delta, tp.truncation)
-
-
-def smooth_tail_bound(ctx: SmoothContext, epsilon: Fraction, delta: Fraction,
-                      X: int) -> Fraction:
     if X < 1:
         raise ValueError("tail bound needs X >= 1")
     epsilon = Fraction(epsilon)
@@ -220,6 +217,30 @@ def best_tail_params(ctx: SmoothContext, epsilon: Fraction, X: int) -> TailParam
     if best is None:
         raise ValueError("no admissible delta: epsilon too close to 1")
     return TailParams(epsilon, best, X)
+
+
+def refine_cutoff(evaluate, target, x_start: int, x_cap: int):
+    """Double the cutoff until a certified radius meets the target.
+
+    evaluate(X) returns (value, radius) at cutoff X; the schedule is
+    X = x_start, 2 x_start, ... clamped to x_cap.  Returns
+    (value, X, met) for the first X whose radius is <= target, else for
+    x_cap with met False: rigor is never traded for termination, so what
+    a miss means (an error, an undecided point) is the caller's choice.
+    """
+    target = Fraction(target)
+    if target <= 0:
+        raise ValueError("target radius must be positive")
+    if not 1 <= x_start <= x_cap:
+        raise ValueError("need 1 <= x_start <= x_cap")
+    X = x_start
+    while True:
+        value, radius = evaluate(X)
+        if radius <= target:
+            return value, X, True
+        if X >= x_cap:
+            return value, X, False
+        X = min(2 * X, x_cap)
 
 
 class SmoothSeries:

@@ -1,28 +1,12 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from ramsmooth import CorrelationTable, build_range_q, spec_from_table
-
-
-def make_random_instance(rng: random.Random, tag: int, *, max_N: int = 100,
-                         q_choices=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)):
-    """Seeded BH instance: rational f table on [1, N], rational g' on [1, Q]."""
-    Q = rng.choice(q_choices)
-    N = rng.randint(max(Q, 8), max_N)
-    dens = (1, 2, 3, 4, 6)
-    f_entries = {n: Fraction(rng.randint(-9, 9), rng.choice(dens))
-                 for n in range(1, N + 1)}
-    f_spec = spec_from_table(f"seeded-f-{tag}", "direct", f_entries)
-    gprime = {d: Fraction(rng.randint(-6, 6), rng.choice(dens))
-              for d in range(1, Q + 1)}
-    return f_spec, build_range_q(Q, gprime), N
+from ramsmooth import CorrelationTable, seeded_instance
 
 
 def make_random_table(rng: random.Random, tag: int, **kw) -> CorrelationTable:
-    f_spec, g, N = make_random_instance(rng, tag, **kw)
-    return CorrelationTable(f_spec, g, N)
+    return CorrelationTable(*seeded_instance(rng, tag, **kw))
 
 
 @pytest.fixture(scope="session")

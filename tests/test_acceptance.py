@@ -12,7 +12,6 @@ import numpy as np
 
 import ramsmooth as rs
 from ramsmooth.smooth import best_tail_params
-from conftest import make_random_instance
 
 SEED = 20260808
 
@@ -55,8 +54,8 @@ def test_criterion_2_orthogonality():
         X = 10_000
         while True:
             tp = best_tail_params(ctx, Fraction(0), X)
-            if ctx.totient_product * worst * rs.rankin_tail_bound(ctx, tp) \
-                    < target:
+            if ctx.totient_product * worst * \
+                    rs.smooth_tail_bound(ctx, tp.epsilon, tp.delta, X) < target:
                 break
             X *= 2
         series = rs.SmoothSeries(ctx, X)
@@ -87,12 +86,12 @@ def test_criterion_3_correlation_identities():
     rng = random.Random(SEED)
     tables = []
     for tag in range(94):
-        f, g, N = make_random_instance(rng, tag, max_N=100,
-                                       q_choices=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
+        f, g, N = rs.seeded_instance(rng, tag, max_N=100,
+                                      q_choices=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10))
         tables.append(rs.CorrelationTable(f, g, N))
     for tag in range(94, 100):
-        f, g, N = make_random_instance(rng, tag, max_N=100,
-                                       q_choices=(11, 12))
+        f, g, N = rs.seeded_instance(rng, tag, max_N=100,
+                                      q_choices=(11, 12))
         tables.append(rs.CorrelationTable(f, g, N))
     tables.extend(_catalog_bh_instances())
     print(f"  {len(tables)} instances "

@@ -37,9 +37,10 @@ class TestFunctionFiles:
             parse_function_file(path)
 
     def test_malformed_rational_rejected(self, tmp_path):
-        path = self.write(tmp_path, "#mode=direct\n1\t1.5\n")
-        with pytest.raises(ValueError):
-            parse_function_file(path)
+        for value in ("1.5", "1/0"):
+            path = self.write(tmp_path, f"#mode=direct\n1\t{value}\n")
+            with pytest.raises(ValueError):
+                parse_function_file(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = self.write(tmp_path, "1\t1/1\n")
@@ -111,6 +112,25 @@ class TestExitCodes:
 
     def test_usage_error_missing_flags(self, tmp_path):
         assert run(["coeffs"], tmp_path) == 3
+
+    @pytest.mark.parametrize("args", [
+        ["conjecture1", "--Q", "3", "--target-radius", "abc"],
+        ["conjecture1", "--Q", "3", "--target-radius", "1/0"],
+        ["conjecture1", "--Q", "3", "--target-radius", "0"],
+        ["conjecture1", "--Q", "3", "--target-radius", "-1"],
+        ["reef-residual", "--N", "20", "--Q", "5", "--n0", "2", "--q0", "3",
+         "--a-max", "10", "--delta", "abc"],
+        ["reef-residual", "--N", "20", "--Q", "5", "--n0", "2", "--q0", "3",
+         "--a-max", "10", "--delta", "5/4"],
+        ["reef-residual", "--N", "20", "--Q", "5", "--n0", "2", "--q0", "3",
+         "--a-max", "10", "--delta", "0"],
+    ])
+    def test_bad_rational_flag_is_usage_error(self, args, tmp_path, capsys):
+        assert run(args, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "conjecture1.json").exists()
+        assert not (tmp_path / "reef_residual.json").exists()
 
     def test_undecided_conjecture_sweep(self, tmp_path):
         # unit indices always straddle at an impossible radius target

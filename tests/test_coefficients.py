@@ -85,6 +85,9 @@ class TestWintner:
         got = wintner_to_target(point_mass(1), ctx, 1, Fraction(1, 10 ** 6))
         assert got.radius <= Fraction(1, 10 ** 6)
         assert got.contains(Fraction(1, 2))
+        with pytest.raises(ArithmeticError):
+            wintner_to_target(point_mass(1), ctx, 1, Fraction(1, 10 ** 6),
+                              x_start=8, x_cap=16)
 
     def test_interval_soundness_under_refinement(self):
         # recomputing with a larger cutoff lands inside the earlier interval

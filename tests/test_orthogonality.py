@@ -106,6 +106,9 @@ class TestSeries:
         got, tp = orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4))
         assert got.radius <= Fraction(1, 10 ** 4)
         assert got.contains(euler_phi(6))
+        with pytest.raises(ArithmeticError):
+            orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4),
+                                         x_start=64, x_cap=128)
 
     def test_result_record(self):
         ctx = SmoothContext(3)

@@ -11,7 +11,7 @@ from ramsmooth import (
     TailParams,
     best_tail_params,
     euler_product_upper,
-    rankin_tail_bound,
+    refine_cutoff,
     sifted_count,
     smooth_power_series,
     smooth_tail_bound,
@@ -209,7 +209,8 @@ class TestRankinTail:
         series = SmoothSeries(ctx, 10 ** 6)
         for X in (10, 1000, 10 ** 5):
             tp = best_tail_params(ctx, Fraction(0), X)
-            upper = series.harmonic_up_to(X) + rankin_tail_bound(ctx, tp)
+            upper = series.harmonic_up_to(X) + \
+                smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
             assert upper >= series.harmonic_up_to(10 ** 6)
 
     def test_best_params_on_grid(self):
@@ -226,4 +227,34 @@ class TestRankinTail:
            st.integers(min_value=1, max_value=10 ** 6))
     def test_always_nonnegative(self, Q, X):
         ctx = SmoothContext(Q)
-        assert rankin_tail_bound(ctx, best_tail_params(ctx, Fraction(0), X)) > 0
+        tp = best_tail_params(ctx, Fraction(0), X)
+        assert smooth_tail_bound(ctx, tp.epsilon, tp.delta, X) > 0
+
+
+class TestRefineCutoff:
+    @pytest.mark.parametrize("x_start, x_cap, target, schedule, met", [
+        (3, 20, Fraction(1, 10), [3, 6, 12], True),
+        (3, 20, Fraction(1, 100), [3, 6, 12, 20], False),  # clamped, capped
+        (7, 7, Fraction(1, 7), [7], True),
+        (7, 7, Fraction(1, 8), [7], False),
+    ])
+    def test_doubling_schedule(self, x_start, x_cap, target, schedule, met):
+        seen = []
+
+        def evaluate(X):
+            seen.append(X)
+            return f"value@{X}", Fraction(1, X)
+
+        got = refine_cutoff(evaluate, target, x_start, x_cap)
+        assert seen == schedule
+        assert got == (f"value@{schedule[-1]}", schedule[-1], met)
+
+    @pytest.mark.parametrize("target, x_start, x_cap", [
+        (0, 1, 8), (-1, 1, 8), (Fraction(1, 2), 0, 8), (Fraction(1, 2), 9, 8),
+    ])
+    def test_rejected_inputs(self, target, x_start, x_cap):
+        def evaluate(X):
+            raise AssertionError("evaluated despite invalid inputs")
+
+        with pytest.raises(ValueError):
+            refine_cutoff(evaluate, target, x_start, x_cap)
