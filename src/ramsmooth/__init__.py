@@ -8,6 +8,8 @@ machine-readable output.
 from .arith import (
     FactoredInteger,
     FunctionTable,
+    common_denominator,
+    dirichlet_sieve,
     divisors,
     eratosthenes_transform,
     euler_phi,
@@ -15,6 +17,7 @@ from .arith import (
     inverse_transform,
     lcm_range,
     mobius,
+    mobius_sieve,
     omega,
     primes_up_to,
     ramanujan_sum,

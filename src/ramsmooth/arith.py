@@ -2,15 +2,19 @@
 
 Factorization is plain trial division against a cached, growable prime
 list: inputs here are desk scale and determinism matters more than speed.
-All table values are Fractions; identity checks never touch floats.
+Table values are Fractions at the interface; the transforms scale a table
+to integer numerators over one common denominator and run the single
+Dirichlet sieve on them, so identity checks never touch floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Mapping
+
+import numpy as np
 
 _PRIME_CACHE: list[int] = [2, 3, 5, 7, 11, 13]
 
@@ -164,41 +168,83 @@ class FunctionTable:
         return self.values[n - 1]
 
 
+def common_denominator(values) -> tuple[np.ndarray, int]:
+    """(nums, den) with values[i] == nums[i] / den exactly and den the lcm
+    of the denominators; nums has the exact_dtype of its largest entry."""
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    top = max(map(abs, nums), default=0)
+    return np.array(nums, dtype=exact_dtype(top)), den
+
+
+def exact_dtype(bound: int):
+    """int64 for integers of magnitude <= bound when it fits, else object
+    (exact Python ints)."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def magnitude(x: np.ndarray) -> int:
+    """max |x| over an integer array, as a Python int (0 when empty)."""
+    return max(int(x.max()), -int(x.min())) if len(x) else 0
+
+
+def mobius_sieve(X: int) -> np.ndarray:
+    """[mu(0), ..., mu(X)] as an int64 array (mu(0) = 0), by a sieve of
+    Eratosthenes over the primes p <= sqrt(X).  A squarefree n keeps
+    rest[n] > 1 exactly when it has one more prime factor, above sqrt(X)."""
+    mu = np.ones(X + 1, dtype=np.int64)
+    mu[0] = 0
+    rest = np.arange(X + 1, dtype=np.int64)
+    for p in primes_up_to(isqrt(X)):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
+    return mu
+
+
+def dirichlet_sieve(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:
+    """out[d] = sum over m * k = d of a[m] * b[k] for 1 <= d <= X; out[0] = 0.
+
+    a and b are integer arrays indexed by n (index 0 ignored, zero past
+    the end).  The loop runs over the nonzero entries of the factor with
+    fewer of them.  out[d] sums at most min(nnz, tau(d)) products and
+    tau(d) <= 2 sqrt(d), so int64 is used when that bound fits, else the
+    same code runs on exact Python ints.
+    """
+    a, b = a[:X + 1], b[:X + 1]
+    if np.count_nonzero(b[1:]) < np.count_nonzero(a[1:]):
+        a, b = b, a
+    loop = np.flatnonzero(a[1:]) + 1
+    terms = min(len(loop), 2 * isqrt(X) + 1)
+    ma, mb = magnitude(a), magnitude(b)
+    dtype = exact_dtype(max(ma, mb, ma * mb * terms))
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.zeros(X + 1, dtype=dtype)
+    # memoryview yields plain ints without building a list of X entries
+    for m in memoryview(loop):
+        seg = b[1:X // m + 1]
+        out[m:m * len(seg) + 1:m] += a[m] * seg
+    return out
+
+
 def eratosthenes_transform(table: FunctionTable) -> FunctionTable:
     """Dirichlet convolution with mobius: F'(d) = sum_{t|d} F(t) mu(d/t)."""
     X = table.upper
-    mu = [0] * (X + 1)
-    for m in range(1, X + 1):
-        mu[m] = mobius(m)
-    out = [Fraction(0)] * (X + 1)
-    for t in range(1, X + 1):
-        ft = table(t)
-        if ft == 0:
-            continue
-        for d in range(t, X + 1, t):
-            m = mu[d // t]
-            if m:
-                out[d] += m * ft
-    return FunctionTable(X, tuple(out[1:]))
+    nums, den = common_denominator((0,) + table.values)
+    out = dirichlet_sieve(nums, mobius_sieve(X), X)
+    return FunctionTable(X, tuple(Fraction(v, den) for v in out[1:].tolist()))
 
 
 def inverse_transform(table: FunctionTable) -> FunctionTable:
     """Divisor-sum inverse: F(n) = sum_{d|n} F'(d)."""
     X = table.upper
-    out = [Fraction(0)] * (X + 1)
-    for d in range(1, X + 1):
-        fd = table(d)
-        if fd == 0:
-            continue
-        for n in range(d, X + 1, d):
-            out[n] += fd
-    return FunctionTable(X, tuple(out[1:]))
+    nums, den = common_denominator((0,) + table.values)
+    out = dirichlet_sieve(nums, np.ones(X + 1, dtype=np.int64), X)
+    return FunctionTable(X, tuple(Fraction(v, den) for v in out[1:].tolist()))
 
 
 def lcm_range(upper: int) -> int:
     """lcm(2, ..., upper); 1 when upper < 2."""
-    out = 1
-    for k in range(2, upper + 1):
-        out = out * k // gcd(out, k)
-    return out
+    return lcm(*range(1, upper + 1))
 

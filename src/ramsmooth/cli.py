@@ -94,7 +94,7 @@ def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
         support = spec.transform_support
         if support is None:
             raise _UsageError("range-Q input must be an eratosthenes-mode table")
-        bound = Q or support
+        bound = support if Q is None else Q
         if bound < support:
             raise _UsageError(f"--Q {bound} smaller than table support {support}")
         return build_range_q(bound, {d: spec.transform_value(d)
@@ -103,7 +103,7 @@ def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
         return range_q_constant_one()
     if token.startswith("ramanujan:"):
         q0 = int(token.partition(":")[2])
-        return range_q_ramanujan(q0, Q or q0)
+        return range_q_ramanujan(q0, q0 if Q is None else Q)
     raise _UsageError(f"cannot interpret {token!r} as a range-Q function")
 
 

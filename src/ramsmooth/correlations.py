@@ -19,7 +19,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .arith import divisors, euler_phi, mobius, ramanujan_sum, lcm_range
+from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
+    exact_dtype, lcm_range, magnitude, mobius, mobius_sieve, ramanujan_sum
 from .coefficients import carmichael_periodic_exact
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
@@ -28,6 +29,11 @@ from .smooth import SmoothContext, best_tail_params, smooth_tail_bound, \
     smooth_up_to
 
 _FIXED_POINT_BITS = 48
+
+# Largest period lcm(1..Q) a table may have: admits Q = 12 (27720) and
+# rejects Q = 13 (360360), whose two-period window of Fractions and
+# per-shift identity checks no longer fit a desk-scale run.
+MAX_PERIOD = 100_000
 
 
 class BasicHypothesisError(ValueError):
@@ -90,6 +96,9 @@ class CorrelationTable:
         self.g = g
         self.N = N
         self.period = lcm_range(g.Q)
+        if self.period > MAX_PERIOD:
+            raise ValueError(f"period lcm(1..{g.Q}) exceeds the budget "
+                             f"of {MAX_PERIOD}")
         self.witness = BasicHypothesisWitness(range_ok=g.Q <= N, fair=True)
         self._f_values = [f_spec.evaluate(n) for n in range(1, N + 1)]
         self._g_period = g.period_table(self.period)
@@ -97,41 +106,26 @@ class CorrelationTable:
         self._audit_period()
         self._transform_memo: dict[int, Fraction] = {}
         self._inner_sums: dict[int, list[Fraction]] = {}
-        self._window_memo: list[Fraction] | None = None
+        self._batch_memo: tuple[np.ndarray, int] | None = None
 
     # -- construction ------------------------------------------------------
 
     def _build_window(self, width: int) -> list[Fraction]:
-        f_den = 1
-        for v in self._f_values:
-            f_den = f_den * v.denominator // gcd(f_den, v.denominator)
-        g_den = 1
-        for v in self._g_period:
-            g_den = g_den * v.denominator // gcd(g_den, v.denominator)
-        f_num = [int(v * f_den) for v in self._f_values]
-        g_num = [int(v * g_den) for v in self._g_period]
+        f_num, f_den = common_denominator(self._f_values)
+        g_num, g_den = common_denominator(self._g_period)
         P = self.period
         # C(a) over a in [1, width] via integer dot products; int64 only
-        # when magnitudes provably fit, else arbitrary precision.
-        max_prod = max((abs(x) for x in f_num), default=0) * \
-            max((abs(x) for x in g_num), default=0) * max(self.N, 1)
-        if max_prod < 2 ** 62:
-            g_arr = np.array(g_num, dtype=np.int64)
-            acc = np.zeros(width, dtype=np.int64)
-            idx0 = np.arange(1, width + 1)
-            for n in range(1, self.N + 1):
-                fn = f_num[n - 1]
-                if fn == 0:
-                    continue
-                acc += fn * g_arr[(n + idx0 - 1) % P]
-            nums = acc.tolist()
-        else:
-            nums = []
-            for a in range(1, width + 1):
-                nums.append(sum(f_num[n - 1] * g_num[(n + a - 1) % P]
-                                for n in range(1, self.N + 1)))
+        # when magnitudes provably fit, else exact Python ints.
+        mf, mg = magnitude(f_num), magnitude(g_num)
+        dtype = exact_dtype(max(mf, mg, mf * mg * self.N))
+        g_num = g_num.astype(dtype, copy=False)
+        acc = np.zeros(width, dtype=dtype)
+        idx0 = np.arange(1, width + 1)
+        for n, fn in enumerate(f_num.tolist(), 1):
+            if fn:
+                acc += fn * g_num[(n + idx0 - 1) % P]
         den = f_den * g_den
-        return [Fraction(v, den) for v in nums]
+        return [Fraction(v, den) for v in acc.tolist()]
 
     def _audit_period(self) -> None:
         P = self.period
@@ -164,22 +158,8 @@ class CorrelationTable:
 
     def transform_window(self, L: int) -> list[Fraction]:
         """[C'(1), ..., C'(L)] by sieving; cheaper than per-d divisors."""
-        if self._window_memo is not None and len(self._window_memo) >= L:
-            return self._window_memo[:L]
-        mu = [0] * (L + 1)
-        for m in range(1, L + 1):
-            mu[m] = mobius(m)
-        out = [Fraction(0)] * (L + 1)
-        for t in range(1, L + 1):
-            ct = self.value(t)
-            if ct == 0:
-                continue
-            for d in range(t, L + 1, t):
-                m = mu[d // t]
-                if m:
-                    out[d] += m * ct
-        self._window_memo = out[1:]
-        return self._window_memo
+        nums, den = self._transform_batch(L)
+        return [Fraction(v, den) for v in nums[1:].tolist()]
 
     # -- coefficient identities ---------------------------------------------
 
@@ -234,14 +214,15 @@ class CorrelationTable:
         if ell < 1:
             raise ValueError("coefficient index must be >= 1")
         L = lcm(self.period, ell)
-        cprime = self.transform_window(L)
+        cprime, den = self._transform_batch(L)
+        cprime = cprime.tolist()
         c_ell = [ramanujan_sum(ell, r) for r in range(ell)]
         cycle_sum = {}
         for g in divisors(ell):
             cycle_sum[g] = sum(c_ell[(i * g) % ell] for i in range(1, ell // g + 1))
-        total = Fraction(0)
+        total = 0
         for d in range(1, L + 1):
-            cd = cprime[d - 1]
+            cd = cprime[d]
             if cd == 0:
                 continue
             g = gcd(d, ell)
@@ -251,7 +232,7 @@ class CorrelationTable:
             for k in range(1, K % cycle + 1):
                 w += c_ell[(k * d) % ell]
             total += cd * w
-        return total / (euler_phi(ell) * L)
+        return Fraction(total, den * euler_phi(ell) * L)
 
     # -- smooth restriction ---------------------------------------------------
 
@@ -369,28 +350,17 @@ class CorrelationTable:
             value=BoundedValue(mean, dev + slack), term_count=len(terms))
 
     def _transform_batch(self, X: int) -> tuple[np.ndarray, int]:
-        """(den * C'(1..X) as an int64 array, den): the correlation values
-        are scaled to a common integer denominator so the sieve stays in
-        integer arithmetic."""
-        den = 1
-        for v in self.values[:self.period]:
-            den = den * v.denominator // gcd(den, v.denominator)
-        scaled = [int(v * den) for v in self.values[:self.period]]
-        bound = max((abs(s) for s in scaled), default=0)
-        # |den * C'(d)| <= tau(d) * bound; tau(d) <= 1536 for d <= 4e6.
-        if bound * 1536 >= 2 ** 62:
-            raise OverflowError("correlation values too large for the batch sieve")
-        period_vals = np.array(scaled, dtype=np.int64)
-        idx = (np.arange(1, X + 1) - 1) % self.period
-        ct = np.concatenate(([0], period_vals[idx]))
-        mu = _mobius_array(X)
-        out = np.zeros(X + 1, dtype=np.int64)
-        for m in range(1, X + 1):
-            mm = mu[m]
-            if mm == 0:
-                continue
-            out[m::m] += mm * ct[1:X // m + 1]
-        return out, den
+        """(den * C'(0..X) as an integer array, den), C'(0) = 0: the
+        correlation values are scaled to a common integer denominator so
+        the sieve stays in integer arithmetic.  The sieve over the longest
+        X asked for so far is kept and sliced for shorter ones."""
+        if self._batch_memo is None or len(self._batch_memo[0]) <= X:
+            nums, den = common_denominator(self.values[:self.period])
+            # den * C(n) for 0 <= n <= X, C extended with its period
+            ext = np.resize(np.roll(nums, 1), X + 1)
+            self._batch_memo = dirichlet_sieve(ext, mobius_sieve(X), X), den
+        cprime, den = self._batch_memo
+        return cprime[:X + 1], den
 
 
 @dataclass(frozen=True)
@@ -405,28 +375,6 @@ class SeriesEstimate:
     value: BoundedValue
     term_count: int
     certified: bool = False
-
-
-def _mobius_array(X: int) -> np.ndarray:
-    """mu(0..X) by a linear sieve."""
-    mu = np.ones(X + 1, dtype=np.int64)
-    mu[0] = 0
-    primes: list[int] = []
-    smallest = np.zeros(X + 1, dtype=np.int64)
-    is_comp = np.zeros(X + 1, dtype=bool)
-    for i in range(2, X + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            smallest[i] = i
-            mu[i] = -1
-        for p in primes:
-            ip = p * i
-            if ip > X or p > smallest[i]:
-                break
-            is_comp[ip] = True
-            smallest[ip] = p
-            mu[ip] = 0 if i % p == 0 else -mu[i]
-    return mu
 
 
 # -- identity records ---------------------------------------------------------

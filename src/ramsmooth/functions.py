@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import divisors, mobius, ramanujan_sum
+import numpy as np
+
+from .arith import common_denominator, dirichlet_sieve, divisors, mobius, \
+    ramanujan_sum
 from .smooth import SmoothContext
 
 AUDIT_LIMIT = 10_000
@@ -481,14 +484,9 @@ class RangeQFunction:
 
     def period_table(self, period: int) -> list[Fraction]:
         """[g(1), ..., g(period)] by sieving g' over the window."""
-        out = [Fraction(0)] * (period + 1)
-        for d in range(1, self.Q + 1):
-            gd = self.gprime[d - 1]
-            if gd == 0:
-                continue
-            for m in range(d, period + 1, d):
-                out[m] += gd
-        return out[1:]
+        nums, den = common_denominator((0,) + self.gprime)
+        out = dirichlet_sieve(nums, np.ones(period + 1, dtype=np.int64), period)
+        return [Fraction(v, den) for v in out[1:].tolist()]
 
 
 def build_range_q(Q: int, gprime) -> RangeQFunction:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import mobius, primes_up_to
+from .arith import primes_up_to
 from .dyadic import pow_upper
 
 
@@ -108,10 +108,11 @@ def sifted_count(ctx: SmoothContext, X: int) -> tuple[int, Fraction]:
     """
     if X < 1:
         raise ValueError("sifted_count needs X >= 1")
-    divs = [1]
+    # (d, mu(d)) over the squarefree d | primorial: each prime flips the sign
+    divs = [(1, 1)]
     for p in ctx.primes:
-        divs += [d * p for d in divs]
-    count = sum(mobius(d) * (X // d) for d in divs)
+        divs += [(d * p, -mu) for d, mu in divs]
+    count = sum(mu * (X // d) for d, mu in divs)
     return count, ctx.totient_product * X
 
 

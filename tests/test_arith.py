@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from ramsmooth import (
     FactoredInteger,
     FunctionTable,
+    common_denominator,
+    dirichlet_sieve,
     divisors,
     eratosthenes_transform,
     euler_phi,
@@ -17,6 +19,7 @@ from ramsmooth import (
     inverse_transform,
     lcm_range,
     mobius,
+    mobius_sieve,
     omega,
     primes_up_to,
     ramanujan_sum,
@@ -68,6 +71,11 @@ class TestMobius:
                     acc[n] += md
         assert acc[1] == 1
         assert all(acc[n] == 0 for n in range(2, X + 1))
+
+    @pytest.mark.parametrize("X", [1, 2, 10_000])
+    def test_sieve_matches_pointwise(self, X):
+        assert mobius_sieve(X).tolist() == \
+            [0] + [mobius(n) for n in range(1, X + 1)]
 
 
 class TestEulerPhi:
@@ -161,12 +169,41 @@ class TestRamanujanSum:
         assert abs(value) <= g
 
 
-def rational_tables(max_upper=40):
+def rational_tables(max_upper=40, bound=10):
     return st.integers(min_value=1, max_value=max_upper).flatmap(
         lambda X: st.lists(
-            st.fractions(min_value=-10, max_value=10, max_denominator=12),
+            st.fractions(min_value=-bound, max_value=bound, max_denominator=12),
             min_size=X, max_size=X,
         ).map(lambda vals: FunctionTable(X, tuple(Fraction(v) for v in vals))))
+
+
+def sieve_factor(X, sparse, scale):
+    """Values at 1..X: at most three nonzero entries when sparse."""
+    entry = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    if sparse:
+        values = st.dictionaries(st.integers(1, X), entry, max_size=3).map(
+            lambda d: [d.get(n, Fraction(0)) for n in range(1, X + 1)])
+    else:
+        values = st.lists(entry, min_size=X, max_size=X)
+    return values.map(lambda vals: [v * scale for v in vals])
+
+
+class TestDirichletSieve:
+    @settings(max_examples=60)
+    @given(st.integers(min_value=1, max_value=60), st.sampled_from("ab"),
+           st.sampled_from([1, 2 ** 62]), st.data())
+    def test_divisor_sum_oracle(self, X, sparse, scale, data):
+        # scale 2**62 pushes the products past int64: exact fallback
+        a = data.draw(sieve_factor(X, sparse == "a", scale))
+        b = data.draw(sieve_factor(X, sparse == "b", 1))
+        a_num, a_den = common_denominator([0] + a)
+        b_num, b_den = common_denominator([0] + b)
+        out = dirichlet_sieve(a_num, b_num, X)
+        assert len(out) == X + 1 and out[0] == 0
+        for d in range(1, X + 1):
+            expected = sum((a[m - 1] * b[d // m - 1] for m in divisors(d)),
+                           Fraction(0))
+            assert Fraction(int(out[d]), a_den * b_den) == expected
 
 
 class TestTransforms:
@@ -208,7 +245,7 @@ class TestTransforms:
         assert inv(1) == 1 and all(inv(n) == 0 for n in range(2, 51))
 
     @settings(max_examples=40)
-    @given(rational_tables())
+    @given(st.one_of(rational_tables(), rational_tables(bound=2 ** 70)))
     def test_round_trip(self, table):
         assert inverse_transform(eratosthenes_transform(table)).values \
             == table.values

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramsmooth import parse_function_file
+from ramsmooth import RangeQFunction, parse_function_file
 from ramsmooth.cli import main
 
 
@@ -130,6 +130,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "conjecture1.json").exists()
+        assert not (tmp_path / "reef_residual.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["correlation", "--f", "mu", "--g", "ramanujan:3", "--N", "5",
+         "--Q", "0"],
+        ["reef-residual", "--N", "10", "--f", "mu", "--g", "ramanujan:3",
+         "--Q", "0", "--a-max", "3"],
+        # period lcm(1..20) = 232792560 is over the budget
+        ["correlation", "--f", "mu", "--g", "ramanujan:3", "--N", "20",
+         "--Q", "20"],
+    ])
+    def test_bad_range_bound_is_usage_error(self, args, tmp_path, capsys,
+                                            monkeypatch):
+        def refuse(g, period):
+            raise AssertionError(f"period table of {period} entries built")
+
+        monkeypatch.setattr(RangeQFunction, "period_table", refuse)
+        assert run(args, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "correlation.csv").exists()
         assert not (tmp_path / "reef_residual.json").exists()
 
     def test_undecided_conjecture_sweep(self, tmp_path):

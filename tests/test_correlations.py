@@ -27,6 +27,13 @@ from ramsmooth import (
 from conftest import make_random_table
 
 
+def big_table(f2):
+    """C(a) = f2 * c_3(2 + a): a point mass of weight f2 against c_3."""
+    f = spec_from_table("big", "direct",
+                        {n: Fraction(f2 if n == 2 else 0) for n in range(1, 11)})
+    return CorrelationTable(f, range_q_ramanujan(3, 5), 10)
+
+
 class TestCorrelation:
     def test_point_mass_reads_off_g(self):
         g = range_q_ramanujan(3, 5)
@@ -80,11 +87,18 @@ class TestTable:
         assert table.decomposition_rhs(1) == table.value(1) == 1
 
     def test_transform_window_matches_lazy(self):
-        table = make_random_table(random.Random(3), 1, max_N=30,
-                                  q_choices=(2, 3, 4))
-        window = table.transform_window(80)
-        for d in range(1, 81):
-            assert window[d - 1] == table.transform_value(d)
+        tables = [
+            make_random_table(random.Random(3), 1, max_N=30,
+                              q_choices=(2, 3, 4)),
+            # values fit int64 but sums of their products would overflow it
+            big_table(2 ** 60),
+            # numerators beyond int64
+            big_table(Fraction(2 ** 70, 7)),
+        ]
+        for table in tables:
+            window = table.transform_window(80)
+            for d in range(1, 81):
+                assert window[d - 1] == table.transform_value(d)
 
 
 class TestCoefficients:
@@ -213,6 +227,8 @@ class TestFullSeriesEstimate:
         table = CorrelationTable(point_mass(2), range_q_ramanujan(3, 5), 10)
         with pytest.raises(ValueError):
             table.full_series_estimate(3, 10)
+        with pytest.raises(OverflowError):
+            big_table(2 ** 60).full_series_estimate(3, 1000)
 
 
 class TestTailSplit:

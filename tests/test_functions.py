@@ -198,9 +198,11 @@ class TestRangeQ:
 
     def test_period_table_matches_pointwise(self):
         g = range_q_ramanujan(4, 6)
-        table = g.period_table(60)
-        for m in range(1, 61):
-            assert table[m - 1] == g(m)
+        for period in (60, 4):
+            table = g.period_table(period)
+            assert len(table) == period
+            for m in range(1, period + 1):
+                assert table[m - 1] == g(m)
 
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=12), st.data())
