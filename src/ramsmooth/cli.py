@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .arith import euler_phi, factorize, lcm_range, mobius
 from .coefficients import coefficient_record, expansion_partial
-from .correlations import CorrelationTable, seeded_instance
+from .correlations import CorrelationTable, seeded_instance, table_period
 from .functions import ArithmeticFunctionSpec, CertificateError, RangeQFunction, \
     build_range_q, catalog_spec, format_rational, parse_function_file, \
     parse_rational, range_q_constant_one, range_q_ramanujan
@@ -81,6 +81,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and bounds that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_spec(token: str) -> ArithmeticFunctionSpec:
     if token.startswith("@"):
         return parse_function_file(token[1:])
@@ -88,7 +99,11 @@ def _load_spec(token: str) -> ArithmeticFunctionSpec:
 
 
 def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
-    """g from a catalog token or an eratosthenes-mode table file."""
+    """g from a catalog token or an eratosthenes-mode table file.
+
+    The range bound is checked against the table period budget before g
+    is built, since building costs time that grows with the bound.
+    """
     if token.startswith("@"):
         spec = parse_function_file(token[1:])
         support = spec.transform_support
@@ -97,13 +112,16 @@ def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
         bound = support if Q is None else Q
         if bound < support:
             raise _UsageError(f"--Q {bound} smaller than table support {support}")
+        table_period(bound)
         return build_range_q(bound, {d: spec.transform_value(d)
                                      for d in range(1, support + 1)})
     if token == "constant-one":
         return range_q_constant_one()
     if token.startswith("ramanujan:"):
         q0 = int(token.partition(":")[2])
-        return range_q_ramanujan(q0, q0 if Q is None else Q)
+        bound = q0 if Q is None else Q
+        table_period(bound)
+        return range_q_ramanujan(q0, bound)
     raise _UsageError(f"cannot interpret {token!r} as a range-Q function")
 
 
@@ -431,13 +449,16 @@ def _build_parser() -> _Parser:
 
     p = add_parser("conjecture1", help="sweep the shifted orthogonality claim")
     p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--index-bound", type=int, default=None, dest="index_bound")
-    p.add_argument("--shift-bound", type=int, default=None, dest="shift_bound")
+    p.add_argument("--index-bound", type=_positive_int, default=None,
+                   dest="index_bound")
+    p.add_argument("--shift-bound", type=_positive_int, default=None,
+                   dest="shift_bound")
     p.add_argument("--x-start", type=int, default=10_000, dest="x_start")
     p.add_argument("--x-cap", type=int, default=10 ** 9, dest="x_cap")
     p.add_argument("--target-radius", type=parse_rational, default="1/1000",
                    dest="target_radius")
-    p.add_argument("--max-witnesses", type=int, default=1, dest="max_witnesses")
+    p.add_argument("--max-witnesses", type=_positive_int, default=1,
+                   dest="max_witnesses")
 
     p = add_parser("reef-residual", help="expansion defect profile")
     p.add_argument("--N", type=int, required=True)
@@ -468,8 +489,9 @@ def main(argv: list[str] | None = None) -> int:
                     options=options)
     if cfg.command == "conjecture1":
         default_span = lcm_range(options["Q"]) if options["Q"] > 1 else 6
-        options["index_bound"] = options["index_bound"] or default_span
-        options["shift_bound"] = options["shift_bound"] or default_span
+        for key in ("index_bound", "shift_bound"):
+            if options[key] is None:
+                options[key] = default_span
     if cfg.command == "reef-residual":
         has_instance = options.get("q0") is not None
         has_pair = options.get("f") is not None and options.get("g") is not None

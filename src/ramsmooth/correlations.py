@@ -20,7 +20,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
-    exact_dtype, lcm_range, magnitude, mobius, mobius_sieve, ramanujan_sum
+    exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum
 from .coefficients import carmichael_periodic_exact
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
@@ -34,6 +34,24 @@ _FIXED_POINT_BITS = 48
 # rejects Q = 13 (360360), whose two-period window of Fractions and
 # per-shift identity checks no longer fit a desk-scale run.
 MAX_PERIOD = 100_000
+
+
+def table_period(Q: int) -> int:
+    """lcm(1..Q), the period of a table of range Q.
+
+    Raises ValueError for Q < 1 and for a period above MAX_PERIOD; the
+    running lcm stops at the first factor that passes the budget, so an
+    oversized Q is rejected after at most a dozen steps.
+    """
+    if Q < 1:
+        raise ValueError("range bound must be >= 1")
+    period = 1
+    for k in range(2, Q + 1):
+        period = lcm(period, k)
+        if period > MAX_PERIOD:
+            raise ValueError(f"period lcm(1..{Q}) exceeds the budget "
+                             f"of {MAX_PERIOD}")
+    return period
 
 
 class BasicHypothesisError(ValueError):
@@ -95,10 +113,7 @@ class CorrelationTable:
         self.f_spec = f_spec
         self.g = g
         self.N = N
-        self.period = lcm_range(g.Q)
-        if self.period > MAX_PERIOD:
-            raise ValueError(f"period lcm(1..{g.Q}) exceeds the budget "
-                             f"of {MAX_PERIOD}")
+        self.period = table_period(g.Q)
         self.witness = BasicHypothesisWitness(range_ok=g.Q <= N, fair=True)
         self._f_values = [f_spec.evaluate(n) for n in range(1, N + 1)]
         self._g_period = g.period_table(self.period)

@@ -121,6 +121,31 @@ class ShiftedOrthogonalityPoint:
         return self.violated or self.value.contains(self.claimed)
 
 
+def _tail_radius(ctx: SmoothContext, q: int, ell: int,
+                 X: int) -> tuple[Fraction, Fraction]:
+    """(radius, delta): the certified bound on the series beyond cutoff X,
+    q l totient_product times the best Rankin tail, and its shift delta."""
+    tp = best_tail_params(ctx, Fraction(0), X)
+    radius = ctx.totient_product * q * ell * \
+        smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
+    return radius, tp.delta
+
+
+def _certified_point(ctx: SmoothContext, q: int, ell: int, n: int, X: int,
+                     numerator: int, denom: int,
+                     tail: tuple[Fraction, Fraction],
+                     ) -> ShiftedOrthogonalityPoint:
+    """The point whose sum up to X is numerator / denom, with the
+    _tail_radius pair of (q, ell, X) and the claimed collapse
+    [q == ell] c_l(n)."""
+    radius, delta = tail
+    claimed = Fraction(ramanujan_sum(ell, n)) if q == ell else Fraction(0)
+    center = ctx.totient_product * Fraction(numerator, denom)
+    return ShiftedOrthogonalityPoint(
+        q=q, ell=ell, n=n, value=BoundedValue(center, radius),
+        claimed=claimed, cutoff=X, delta=delta)
+
+
 def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
                                X: int, series: SmoothSeries | None = None,
                                ) -> ShiftedOrthogonalityPoint:
@@ -130,7 +155,8 @@ def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
 
     n = 0 (mod q) reduces to the unshifted orthogonality, which holds;
     elsewhere an interval that excludes the claim is a falsification
-    certificate.
+    certificate.  The sum runs term by term, independently of the
+    residue-class sums of the sweep, so it replays any sweep point.
     """
     if not (ctx.is_smooth(q) and ctx.is_smooth(ell)):
         raise ValueError("indices must be smooth")
@@ -144,14 +170,8 @@ def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
         if t > X:
             break
         num += cq[(n + t) % q] * cl[t % ell] * (denom // t)
-    partial = Fraction(num, denom)
-    tp = best_tail_params(ctx, Fraction(0), X)
-    radius = ctx.totient_product * q * ell * \
-        smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
-    claimed = Fraction(ramanujan_sum(ell, n)) if q == ell else Fraction(0)
-    return ShiftedOrthogonalityPoint(
-        q=q, ell=ell, n=n, value=BoundedValue(ctx.totient_product * partial, radius),
-        claimed=claimed, cutoff=X, delta=tp.delta)
+    return _certified_point(ctx, q, ell, n, X, num, denom,
+                            _tail_radius(ctx, q, ell, X))
 
 
 @dataclass(frozen=True)
@@ -172,6 +192,11 @@ def find_shifted_orthogonality_violations(
     absolute value (positive first).  Too-wide intervals double the
     cutoff up to the cap; points still straddling the claim at the cap
     are reported undecided, never as passes.
+
+    c_q(n+t) depends on t only mod q, so for each (q, ell, X) the terms
+    are summed once per residue class, A_r = sum over smooth t <= X with
+    t = r (mod q) of c_l(t) D/t, and every shift n costs
+    sum_r c_q(n+r) A_r: the same numerator over D as the term-by-term sum.
     """
     indices = smooth_up_to(ctx, index_bound)
     shifts = []
@@ -181,24 +206,41 @@ def find_shifted_orthogonality_violations(
     undecided: list[ShiftedOrthogonalityPoint] = []
     series_cache: dict[int, SmoothSeries] = {}
 
-    def evaluate(q, ell, n, X):
+    def row(q, ell, cl, X):
+        """What every shift of (q, ell) shares at cutoff X: the residue
+        class sums, their denominator and the tail radius."""
         series = series_cache.get(X)
         if series is None:
             series = SmoothSeries(ctx, X)
             series_cache[X] = series
-        point = shifted_orthogonality_eval(ctx, q, ell, n, X, series)
-        # an interval that already excludes the claim needs no narrowing:
-        # radius 0 makes refine_cutoff stop at the first X that excludes it
-        return point, 0 if point.violated else point.value.radius
+        denom = series.denominator
+        sums = [0] * q
+        for t in series.values:
+            sums[t % q] += cl[t % ell] * (denom // t)
+        return sums, denom, _tail_radius(ctx, q, ell, X)
 
     checked = 0
     for q in indices:
+        cq = [ramanujan_sum(q, r) for r in range(q)]
         for ell in indices:
+            cl = [ramanujan_sum(ell, r) for r in range(ell)]
+            rows: dict[int, tuple] = {}
+
+            def evaluate(n, X):
+                if X not in rows:
+                    rows[X] = row(q, ell, cl, X)
+                sums, denom, tail = rows[X]
+                num = sum(cq[(n + r) % q] * a for r, a in enumerate(sums))
+                point = _certified_point(ctx, q, ell, n, X, num, denom, tail)
+                # an interval that already excludes the claim needs no
+                # narrowing: radius 0 makes refine_cutoff stop at the first
+                # X that excludes it
+                return point, 0 if point.violated else point.value.radius
+
             for n in shifts:
                 checked += 1
                 point, _, met = refine_cutoff(
-                    lambda X: evaluate(q, ell, n, X), target_radius,
-                    x_start, x_cap)
+                    lambda X: evaluate(n, X), target_radius, x_start, x_cap)
                 if point.violated:
                     witnesses.append(point)
                 elif not met:

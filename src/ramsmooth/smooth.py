@@ -23,6 +23,13 @@ class SmoothContext:
 
     totient_product = prod_{p<=Q} (1 - 1/p); smooth_harmonic is its exact
     reciprocal, the value of sum over Q-smooth t of 1/t.
+
+    A context also memoizes its Rankin tail bounds: euler_product_upper,
+    smooth_tail_bound and best_tail_params store each result under their
+    arguments, so an Euler product is computed once per exponent and a
+    tail bound once per (epsilon, delta, X), for the life of the context.
+    The memo takes no part in equality, hashing or repr: two contexts with
+    the same Q are equal whatever they have computed.
     """
 
     Q: int
@@ -30,6 +37,8 @@ class SmoothContext:
     primorial: int = field(init=False)
     totient_product: Fraction = field(init=False)
     smooth_harmonic: Fraction = field(init=False)
+    _tail_memo: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False, hash=False)
 
     def __post_init__(self):
         if self.Q < 2:
@@ -145,12 +154,17 @@ def euler_product_upper(ctx: SmoothContext, s: Fraction) -> Fraction:
     s = Fraction(s)
     if s >= 0:
         raise ValueError("need s < 0 for a convergent product")
-    out = Fraction(1)
-    for p in ctx.primes:
-        ub = pow_upper(p, s)
-        if ub >= 1:
-            raise ArithmeticError("power bound lost positivity; raise precision")
-        out /= 1 - ub
+    key = ("euler", s)
+    out = ctx._tail_memo.get(key)
+    if out is None:
+        out = Fraction(1)
+        for p in ctx.primes:
+            ub = pow_upper(p, s)
+            if ub >= 1:
+                raise ArithmeticError(
+                    "power bound lost positivity; raise precision")
+            out /= 1 - ub
+        ctx._tail_memo[key] = out
     return out
 
 
@@ -196,8 +210,13 @@ def smooth_tail_bound(ctx: SmoothContext, epsilon: Fraction, delta: Fraction,
     delta = Fraction(delta)
     if not (0 <= epsilon and 0 < delta and epsilon + delta < 1):
         raise ValueError("need epsilon >= 0, delta > 0, epsilon + delta < 1")
-    shift = pow_upper(Fraction(1, X), delta)
-    return shift * euler_product_upper(ctx, epsilon + delta - 1)
+    key = ("tail", epsilon, delta, X)
+    bound = ctx._tail_memo.get(key)
+    if bound is None:
+        shift = pow_upper(Fraction(1, X), delta)
+        bound = shift * euler_product_upper(ctx, epsilon + delta - 1)
+        ctx._tail_memo[key] = bound
+    return bound
 
 
 _DELTA_GRID = tuple(Fraction(k, 16) for k in range(1, 16))
@@ -207,6 +226,10 @@ def best_tail_params(ctx: SmoothContext, epsilon: Fraction, X: int) -> TailParam
     """TailParams with the grid delta in {1/16, ..., 15/16} minimizing the
     Rankin bound at truncation X."""
     epsilon = Fraction(epsilon)
+    key = ("best", epsilon, X)
+    params = ctx._tail_memo.get(key)
+    if params is not None:
+        return params
     best = None
     best_bound = None
     for d in _DELTA_GRID:
@@ -217,7 +240,8 @@ def best_tail_params(ctx: SmoothContext, epsilon: Fraction, X: int) -> TailParam
             best, best_bound = d, b
     if best is None:
         raise ValueError("no admissible delta: epsilon too close to 1")
-    return TailParams(epsilon, best, X)
+    params = ctx._tail_memo[key] = TailParams(epsilon, best, X)
+    return params
 
 
 def refine_cutoff(evaluate, target, x_start: int, x_cap: int):

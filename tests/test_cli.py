@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramsmooth import RangeQFunction, parse_function_file
+from ramsmooth import RangeQFunction, cli, parse_function_file
 from ramsmooth.cli import main
 
 
@@ -140,18 +140,43 @@ class TestExitCodes:
         # period lcm(1..20) = 232792560 is over the budget
         ["correlation", "--f", "mu", "--g", "ramanujan:3", "--N", "20",
          "--Q", "20"],
+        ["correlation", "--f", "mu", "--g", "ramanujan:3", "--N", "80000",
+         "--Q", "80000"],
+        # without --Q the range bound is the modulus
+        ["correlation", "--f", "mu", "--g", "ramanujan:20", "--N", "30"],
+        ["correlation", "--f", "mu", "--g", "@TABLE", "--N", "20000",
+         "--Q", "20000"],
     ])
     def test_bad_range_bound_is_usage_error(self, args, tmp_path, capsys,
                                             monkeypatch):
-        def refuse(g, period):
-            raise AssertionError(f"period table of {period} entries built")
+        def refuse(*args):
+            raise AssertionError("range-Q function built")
 
+        table = tmp_path / "g.tsv"
+        table.write_text("#mode=eratosthenes\n1\t1/1\n2\t-1/2\n",
+                         encoding="utf-8")
+        args = [a.replace("TABLE", str(table)) for a in args]
         monkeypatch.setattr(RangeQFunction, "period_table", refuse)
+        monkeypatch.setattr(cli, "build_range_q", refuse)
+        monkeypatch.setattr(cli, "range_q_ramanujan", refuse)
         assert run(args, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "correlation.csv").exists()
         assert not (tmp_path / "reef_residual.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--index-bound", "2", "--shift-bound", "0"],
+        ["--index-bound", "0"],
+        ["--shift-bound", "-1"],
+        ["--max-witnesses", "0"],
+        ["--max-witnesses", "-1"],
+    ])
+    def test_bad_sweep_bound_is_usage_error(self, args, tmp_path, capsys):
+        assert run(["conjecture1", "--Q", "3", *args], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "conjecture1.json").exists()
 
     def test_undecided_conjecture_sweep(self, tmp_path):
         # unit indices always straddle at an impossible radius target

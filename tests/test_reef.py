@@ -26,6 +26,8 @@ from ramsmooth import (
     smooth_up_to,
     spec_from_table,
 )
+from ramsmooth import smooth
+from ramsmooth.dyadic import pow_upper
 from conftest import make_random_table
 
 
@@ -135,6 +137,48 @@ class TestShiftedOrthogonality:
         # replay from the recorded truncation metadata
         replay = shifted_orthogonality_eval(ctx, w.q, w.ell, w.n, w.cutoff)
         assert replay.value == w.value and replay.violated
+
+    @pytest.mark.parametrize("Q, shift_bound", [(3, 4), (5, 2)])
+    def test_sweep_points_replay_on_fresh_context(self, Q, shift_bound):
+        # the residue-class sums of the sweep against the term-by-term
+        # oracle, which shares no tail memo with it
+        outcome = find_shifted_orthogonality_violations(
+            SmoothContext(Q), index_bound=6, shift_bound=shift_bound,
+            x_start=1 << 10, x_cap=1 << 16, target_radius=Fraction(1, 100),
+            stop_after=None)
+        assert outcome.witnesses and outcome.undecided
+        for p in outcome.witnesses + outcome.undecided:
+            replay = shifted_orthogonality_eval(SmoothContext(Q), p.q, p.ell,
+                                                p.n, p.cutoff)
+            assert replay.value.center == p.value.center
+            assert replay.value.radius == p.value.radius
+            assert (replay.delta, replay.claimed) == (p.delta, p.claimed)
+
+    def test_sweep_computes_tail_bounds_once_per_context(self, monkeypatch):
+        # 15 grid deltas: one Euler product per delta (one power per
+        # prime) and one Rankin shift per delta and cutoff
+        bases = []
+
+        def counting(base, exponent):
+            bases.append(Fraction(base))
+            return pow_upper(base, exponent)
+
+        monkeypatch.setattr(smooth, "pow_upper", counting)
+        ctx = SmoothContext(5)
+        kw = dict(index_bound=6, shift_bound=2, x_start=1 << 12,
+                  x_cap=1 << 18, target_radius=Fraction(1, 100),
+                  stop_after=None)
+        first = find_shifted_orthogonality_violations(ctx, **kw)
+        cutoffs = {b.denominator for b in bases if b < 1}
+        assert len(cutoffs) > 1
+        assert cutoffs <= {1 << k for k in range(12, 19)}
+        assert len(bases) <= 15 * len(ctx.primes) + 15 * len(cutoffs)
+        made = len(bases)
+        assert find_shifted_orthogonality_violations(ctx, **kw) == first
+        assert len(bases) == made
+        fresh = SmoothContext(5)
+        assert fresh == ctx and hash(fresh) == hash(ctx)
+        assert repr(fresh) == repr(ctx)
 
 
 class TestResiduals:
