@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .arith import euler_phi, factorize, lcm_range, mobius
+from .arith import euler_phi, factorize, mobius
 from .coefficients import coefficient_record, expansion_partial
 from .correlations import CorrelationTable, seeded_instance, table_period
 from .functions import ArithmeticFunctionSpec, CertificateError, RangeQFunction, \
@@ -260,6 +260,9 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[int, list[dict]]:
 def _cmd_conjecture1(cfg: RunConfig) -> tuple[int, list[dict]]:
     o = cfg.options
     ctx = SmoothContext(o["Q"])
+    for key in ("index_bound", "shift_bound"):
+        if o[key] is None:  # one table period, under the table budget
+            o[key] = table_period(o["Q"])
     outcome = find_shifted_orthogonality_violations(
         ctx,
         index_bound=o["index_bound"],
@@ -296,11 +299,15 @@ def _cmd_conjecture1(cfg: RunConfig) -> tuple[int, list[dict]]:
 
 def _cmd_reef_residual(cfg: RunConfig) -> tuple[int, list[dict]]:
     o = cfg.options
-    if o.get("q0") is not None:
+    if o["n0"] is not None or o["q0"] is not None:
+        if None in (o["n0"], o["q0"], o["Q"]):
+            raise _UsageError("--n0, --q0 and --Q must be given together")
         instance = ReefInstance(N=o["N"], Q=o["Q"], n0=o["n0"], q0=o["q0"])
         table = instance.table()
         descriptor = {"N": o["N"], "Q": o["Q"], "n0": o["n0"], "q0": o["q0"]}
     else:
+        if o["f"] is None or o["g"] is None:
+            raise _UsageError("give --n0/--q0/--Q or --f/--g")
         f_spec = _load_spec(o["f"])
         g = _load_range_q(o["g"], o.get("Q"))
         table = CorrelationTable(f_spec, g, o["N"])
@@ -423,7 +430,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--function", required=True,
                    help="catalog id or @path to a function table")
     p.add_argument("--V", type=int, required=True)
-    p.add_argument("--ell-max", type=int, default=30, dest="ell_max")
+    p.add_argument("--ell-max", type=_positive_int, default=30, dest="ell_max")
 
     p = add_parser("expand", help="pointwise expansion with residuals")
     p.add_argument("--function", required=True)
@@ -487,17 +494,6 @@ def main(argv: list[str] | None = None) -> int:
                if k not in ("command", "out", "seed")}
     cfg = RunConfig(command=ns.command, outdir=outdir, seed=ns.seed,
                     options=options)
-    if cfg.command == "conjecture1":
-        default_span = lcm_range(options["Q"]) if options["Q"] > 1 else 6
-        for key in ("index_bound", "shift_bound"):
-            if options[key] is None:
-                options[key] = default_span
-    if cfg.command == "reef-residual":
-        has_instance = options.get("q0") is not None
-        has_pair = options.get("f") is not None and options.get("g") is not None
-        if not has_instance and not has_pair:
-            print("usage error: give --n0/--q0/--Q or --f/--g", file=sys.stderr)
-            return EXIT_USAGE
     try:
         code, failures = _COMMANDS[cfg.command](cfg)
     except _UsageError as exc:

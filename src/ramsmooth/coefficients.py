@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
-from .arith import euler_phi, omega, ramanujan_sum
+import numpy as np
+
+from .arith import common_denominator, euler_phi, exact_dtype, magnitude, \
+    omega, ramanujan_sum
 from .dyadic import pow_upper
 from .functions import ArithmeticFunctionSpec, CertificateError, FiniteSupport, \
     GrowthCertificate, smooth_restrict
@@ -175,21 +178,24 @@ def carmichael_periodic_exact(values: Sequence[Fraction], period: int,
     if len(values) < 2 * period:
         raise PeriodicityError(
             f"need at least two periods of values ({2 * period}), got {len(values)}")
-    vals = [Fraction(v) for v in values]
-    for a in range(len(vals) - period):
-        if vals[a] != vals[a + period]:
-            raise PeriodicityError(
-                f"claimed period {period} fails at argument {a + 1}: "
-                f"{vals[a]} != {vals[a + period]}")
+    nums, den = common_denominator(values)
+    bad = np.flatnonzero(nums[:-period] != nums[period:])
+    if len(bad):
+        raise PeriodicityError(
+            f"claimed period {period} fails at argument {bad[0] + 1}: "
+            f"{values[bad[0]]} != {values[bad[0] + period]}")
+    return carmichael_periodic_mean(nums[:period], den, ell)
 
-    def value_at(n: int) -> Fraction:
-        return vals[(n - 1) % period]
 
-    L = period * ell // gcd(period, ell)
-    c_table = [ramanujan_sum(ell, r) for r in range(ell)]
-    total = sum((value_at(a) * c_table[a % ell] for a in range(1, L + 1)),
-                Fraction(0))
-    return total / (euler_phi(ell) * L)
+def carmichael_periodic_mean(nums: np.ndarray, den: int, ell: int) -> Fraction:
+    """Carmichael coefficient of F(a) = nums[(a - 1) % P] / den, P = len(nums):
+    its mean against c_ell over lcm(P, ell) consecutive a (P not audited)."""
+    L = lcm(len(nums), ell)
+    c = np.array([ramanujan_sum(ell, a) for a in range(1, ell + 1)])
+    dtype = exact_dtype(magnitude(nums) * magnitude(c) * L)
+    total = np.dot(np.resize(nums.astype(dtype), L),
+                   np.resize(c.astype(dtype), L))
+    return Fraction(int(total), den * euler_phi(ell) * L)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
     exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum
-from .coefficients import carmichael_periodic_exact
+from .coefficients import carmichael_periodic_mean
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
 from .intervals import BoundedValue, interval_sum
@@ -115,39 +115,37 @@ class CorrelationTable:
         self.N = N
         self.period = table_period(g.Q)
         self.witness = BasicHypothesisWitness(range_ok=g.Q <= N, fair=True)
-        self._f_values = [f_spec.evaluate(n) for n in range(1, N + 1)]
-        self._g_period = g.period_table(self.period)
-        self.values = self._build_window(2 * self.period)
-        self._audit_period()
+        self._f_num, self._f_den = common_denominator(
+            [f_spec.evaluate(n) for n in range(1, N + 1)])
+        self._num, self._den = self._build_window()
+        self.values = [Fraction(v, self._den) for v in self._num.tolist()]
+        self._ghat_num, self._ghat_den = common_denominator(g.ghat)
         self._transform_memo: dict[int, Fraction] = {}
-        self._inner_sums: dict[int, list[Fraction]] = {}
-        self._batch_memo: tuple[np.ndarray, int] | None = None
+        self._residue_sums: dict[int, list[int]] = {}
+        self._batch_memo: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
-    def _build_window(self, width: int) -> list[Fraction]:
-        f_num, f_den = common_denominator(self._f_values)
-        g_num, g_den = common_denominator(self._g_period)
+    def _build_window(self) -> tuple[np.ndarray, int]:
+        g_num, g_den = common_denominator(self.g.period_table(self.period))
         P = self.period
-        # C(a) over a in [1, width] via integer dot products; int64 only
-        # when magnitudes provably fit, else exact Python ints.
-        mf, mg = magnitude(f_num), magnitude(g_num)
+        # C(a) = num[a - 1] / den over a in [1, 2P] by integer dot products,
+        # int64 only when magnitudes provably fit, else exact Python ints.
+        mf, mg = magnitude(self._f_num), magnitude(g_num)
         dtype = exact_dtype(max(mf, mg, mf * mg * self.N))
         g_num = g_num.astype(dtype, copy=False)
-        acc = np.zeros(width, dtype=dtype)
-        idx0 = np.arange(1, width + 1)
-        for n, fn in enumerate(f_num.tolist(), 1):
+        acc = np.zeros(2 * P, dtype=dtype)
+        idx = np.arange(2 * P)
+        for n, fn in enumerate(self._f_num.tolist(), 1):
             if fn:
-                acc += fn * g_num[(n + idx0 - 1) % P]
-        den = f_den * g_den
-        return [Fraction(v, den) for v in acc.tolist()]
-
-    def _audit_period(self) -> None:
-        P = self.period
-        for a in range(P):
-            if self.values[a] != self.values[a + P]:
-                raise ArithmeticError(
-                    f"correlation failed its period audit at shift {a + 1}")
+                acc += fn * g_num[(n + idx) % P]
+        bad = np.flatnonzero(acc[:P] != acc[P:])
+        if len(bad):
+            raise ArithmeticError(
+                f"correlation failed its period audit at shift {bad[0] + 1}")
+        # den becomes the lcm of the reduced denominators of the values
+        common = gcd(self._f_den * g_den, *acc[:P].tolist())
+        return acc // common, self._f_den * g_den // common
 
     # -- exact accessors -----------------------------------------------------
 
@@ -158,7 +156,7 @@ class CorrelationTable:
         return self.values[(a - 1) % self.period]
 
     def max_abs(self) -> Fraction:
-        return max(abs(v) for v in self.values[:self.period])
+        return Fraction(magnitude(self._num[:self.period]), self._den)
 
     def transform_value(self, d: int) -> Fraction:
         """Shift-variable transform C'(N, d) = sum_{t|d} C(N, t) mu(d/t)."""
@@ -178,17 +176,20 @@ class CorrelationTable:
 
     # -- coefficient identities ---------------------------------------------
 
+    def _residue_table(self, q: int) -> list[int]:
+        """[f_den * sum_{n<=N} f(n) c_q(n+r) for r in 0..q-1] via class sums."""
+        if q not in self._residue_sums:
+            f = self._f_num.tolist()
+            by_class = [sum(f[i::q]) for i in range(q)]  # n = i + 1 (mod q)
+            c_q = [ramanujan_sum(q, m) for m in range(2 * q)]
+            self._residue_sums[q] = [
+                sum(S * c_q[i + 1 + r] for i, S in enumerate(by_class))
+                for r in range(q)]
+        return self._residue_sums[q]
+
     def inner_sum(self, q: int, a: int) -> Fraction:
         """sum_{n<=N} f(n) c_q(n+a); periodic in a mod q."""
-        table = self._inner_sums.get(q)
-        if table is None:
-            table = []
-            for r in range(q):
-                table.append(sum(
-                    (self._f_values[n - 1] * ramanujan_sum(q, n + r)
-                     for n in range(1, self.N + 1)), Fraction(0)))
-            self._inner_sums[q] = table
-        return table[a % q]
+        return Fraction(self._residue_table(q)[a % q], self._f_den)
 
     def decomposition_rhs(self, a: int) -> Fraction:
         """sum_{q<=Q} ghat(q) * sum_{n<=N} f(n) c_q(n+a).
@@ -198,8 +199,9 @@ class CorrelationTable:
         """
         if a < 1:
             raise ValueError("shift must be >= 1")
-        return sum((self.g.ghat[q - 1] * self.inner_sum(q, a)
-                    for q in range(1, self.g.Q + 1)), Fraction(0))
+        total = sum(gh * self._residue_table(q)[a % q]
+                    for q, gh in enumerate(self._ghat_num.tolist(), 1) if gh)
+        return Fraction(total, self._ghat_den * self._f_den)
 
     def coefficient(self, ell: int) -> Fraction:
         """(ghat(ell)/phi(ell)) * sum_{n<=N} f(n) c_ell(n): the shared
@@ -213,7 +215,7 @@ class CorrelationTable:
 
     def carmichael_mean(self, ell: int) -> Fraction:
         """Exact periodic Carmichael coefficient of the table values."""
-        return carmichael_periodic_exact(self.values, self.period, ell)
+        return carmichael_periodic_mean(self._num[:self.period], self._den, ell)
 
     def transform_side_coefficient(self, ell: int) -> Fraction:
         """Exact transform-side coefficient through C'.
@@ -365,17 +367,13 @@ class CorrelationTable:
             value=BoundedValue(mean, dev + slack), term_count=len(terms))
 
     def _transform_batch(self, X: int) -> tuple[np.ndarray, int]:
-        """(den * C'(0..X) as an integer array, den), C'(0) = 0: the
-        correlation values are scaled to a common integer denominator so
-        the sieve stays in integer arithmetic.  The sieve over the longest
-        X asked for so far is kept and sliced for shorter ones."""
-        if self._batch_memo is None or len(self._batch_memo[0]) <= X:
-            nums, den = common_denominator(self.values[:self.period])
+        """(den * C'(0..X) as an integer array, den), C'(0) = 0, sieved from
+        the window; the longest sieve so far is kept and sliced."""
+        if self._batch_memo is None or len(self._batch_memo) <= X:
             # den * C(n) for 0 <= n <= X, C extended with its period
-            ext = np.resize(np.roll(nums, 1), X + 1)
-            self._batch_memo = dirichlet_sieve(ext, mobius_sieve(X), X), den
-        cprime, den = self._batch_memo
-        return cprime[:X + 1], den
+            ext = np.resize(np.roll(self._num[:self.period], 1), X + 1)
+            self._batch_memo = dirichlet_sieve(ext, mobius_sieve(X), X)
+        return self._batch_memo[:X + 1], self._den
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """CLI subcommands: artifacts, determinism, exit codes, file parsing."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramsmooth import RangeQFunction, cli, parse_function_file
 from ramsmooth.cli import main
@@ -178,6 +182,35 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "conjecture1.json").exists()
 
+    @pytest.mark.parametrize("args", [
+        # an instance needs all three of --n0, --q0 and --Q
+        ["reef-residual", "--N", "10", "--n0", "9", "--q0", "5",
+         "--a-max", "3"],
+        ["reef-residual", "--N", "10", "--q0", "5", "--Q", "5",
+         "--a-max", "3"],
+        ["coeffs", "--function", "mu", "--V", "3", "--ell-max", "0"],
+        ["coeffs", "--function", "mu", "--V", "3", "--ell-max", "-5"],
+    ])
+    def test_bad_flag_set_is_usage_error(self, args, tmp_path, capsys):
+        assert run(args, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "reef_residual.json").exists()
+        assert not (tmp_path / "coeffs.csv").exists()
+
+    def test_default_sweep_span_has_budget(self, tmp_path, capsys,
+                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        # the default span lcm(1..13) = 360360 is over the period budget
+        monkeypatch.setattr(cli, "find_shifted_orthogonality_violations",
+                            refuse)
+        assert run(["conjecture1", "--Q", "13"], tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "conjecture1.json").exists()
+
     def test_undecided_conjecture_sweep(self, tmp_path):
         # unit indices always straddle at an impossible radius target
         code = run(["conjecture1", "--Q", "3", "--index-bound", "1",
@@ -186,6 +219,71 @@ class TestExitCodes:
         assert code == 2
         manifest = json.loads((tmp_path / "failures.json").read_text())
         assert manifest["failures"][0]["check"] == "conjecture1-undecided"
+
+
+# Desk-scale and malformed values per flag kind: Q <= 6, N <= 40, index
+# and shift bounds <= 3.
+_Q = ["-1", "0", "1", "2", "3", "5", "6", "x"]
+_N = ["-1", "0", "1", "5", "12", "40", "x"]
+_BOUND = ["-1", "0", "1", "2", "3", "x"]
+_COUNT = ["-1", "0", "1", "3", "40", "1/2"]
+_CUTOFF = ["-1", "0", "1", "64", "1024", "x"]
+_RATIONAL = ["1/1000", "1/4", "0", "-1", "5/4", "1/0", "abc"]
+_FUNCTION = ["mu", "constant-one", "phi-over-n", "ramanujan:3",
+             "ramanujan:0", "indicator:2", "indicator:-1", "nope", "@MISSING"]
+_RANGE_Q = ["constant-one", "ramanujan:3", "ramanujan:6", "ramanujan:0",
+            "ramanujan:-2", "ramanujan:x", "mu", "@MISSING"]
+_FLAGS = {
+    "coeffs": {"--function": _FUNCTION, "--V": _Q, "--ell-max": _COUNT},
+    "expand": {"--function": _FUNCTION, "--V": _Q, "--a": _COUNT,
+               "--L": _COUNT},
+    "orthogonality": {"--Q": _Q, "--max": _COUNT},
+    "correlation": {"--f": _FUNCTION, "--g": _RANGE_Q, "--N": _N, "--Q": _Q},
+    "counterexample": {"--N": _N, "--Q": _Q, "--n0": _BOUND, "--q0": _Q},
+    "conjecture1": {"--Q": _Q, "--index-bound": _BOUND,
+                    "--shift-bound": _BOUND, "--x-start": _CUTOFF,
+                    "--x-cap": _CUTOFF, "--target-radius": _RATIONAL,
+                    "--max-witnesses": _BOUND},
+    "reef-residual": {"--N": _N, "--Q": _Q, "--n0": _BOUND, "--q0": _Q,
+                      "--f": _FUNCTION, "--g": _RANGE_Q, "--a-max": _COUNT,
+                      "--delta": _RATIONAL},
+    "verify-all": {},
+}
+
+
+# flags argparse requires are always given, with any of their values
+_REQUIRED = {
+    "coeffs": {"--function", "--V"},
+    "expand": {"--function", "--V", "--a"},
+    "orthogonality": {"--Q"},
+    "correlation": {"--f", "--g", "--N"},
+    "counterexample": {"--N", "--Q", "--n0", "--q0"},
+    "conjecture1": {"--Q"},
+    "reef-residual": {"--N", "--a-max"},
+    "verify-all": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_code(command, data):
+    argv = [command]
+    for flag, values in {**_FLAGS[command], "--seed": ["1", "-1", "x"]}.items():
+        drawn = st.sampled_from(values)
+        if flag not in _REQUIRED[command]:
+            drawn = st.none() | drawn
+        value = data.draw(drawn, label=flag)
+        if value is not None:
+            argv += [flag, value]
+    with tempfile.TemporaryDirectory() as out:
+        argv = [a.replace("@MISSING", f"@{out}/missing.tsv") for a in argv]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", out])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_verify_all_passes(tmp_path):

@@ -162,6 +162,9 @@ class TestCarmichaelPeriodicExact:
         for q in (2, 3, 4, 5, 6):
             vals = [Fraction(ramanujan_sum(q, n)) for n in range(1, 2 * q + 1)]
             assert carmichael_periodic_exact(vals, q, q) == 1
+            # values fit int64, their dot product with c_q does not
+            assert carmichael_periodic_exact([v * 2 ** 62 for v in vals],
+                                             q, q) == 2 ** 62
 
     def test_off_diagonal_vanishes(self):
         vals = [Fraction(ramanujan_sum(3, n)) for n in range(1, 7)]
@@ -177,8 +180,10 @@ class TestCarmichaelPeriodicExact:
 
     def test_audit_rejects_fake_period(self):
         vals = [Fraction(v) for v in (1, 2, 1, 3)]
-        with pytest.raises(PeriodicityError):
+        with pytest.raises(PeriodicityError, match="at argument 2: 2 != 3"):
             carmichael_periodic_exact(vals, 2, 1)
+        with pytest.raises(PeriodicityError, match="at argument 2"):
+            carmichael_periodic_exact([v * 2 ** 62 for v in vals], 2, 1)
 
 
 class TestExpansionPartial:

@@ -15,6 +15,7 @@ from ramsmooth import (
     correlation,
     euler_phi,
     expansion_tail_term,
+    mobius,
     point_mass,
     ramanujan_modulus,
     ramanujan_sum,
@@ -25,6 +26,14 @@ from ramsmooth import (
     tail_split_identity,
 )
 from conftest import make_random_table
+
+
+def big_mu_table(table):
+    """f = 2**62 * mu against the g and N of table: the values of f fit
+    int64, their sums over a residue class do not."""
+    f = spec_from_table("big-mu", "direct", {n: 2 ** 62 * mobius(n)
+                                             for n in range(1, table.N + 1)})
+    return CorrelationTable(f, table.g, table.N)
 
 
 def big_table(f2):
@@ -69,11 +78,17 @@ class TestTable:
 
     def test_decomposition_identity_random(self):
         rng = random.Random(11)
-        for tag in range(6):
-            table = make_random_table(rng, tag, max_N=40,
-                                      q_choices=(1, 2, 3, 4, 5, 6))
+        tables = [make_random_table(rng, tag, max_N=40,
+                                    q_choices=(1, 2, 3, 4, 5, 6))
+                  for tag in range(6)]
+        # inner sums beyond int64 take the exact-integer path
+        tables.append(big_mu_table(max(tables, key=lambda t: t.period)))
+        for table in tables:
             for a in range(1, table.period + 1):
                 assert table.decomposition_rhs(a) == table.value(a)
+            for a in (1, table.period, 2 * table.period + 1):
+                assert table.value(a) == correlation(table.f_spec, table.g,
+                                                     table.N, a)
 
     def test_decomposition_identity_catalog(self):
         for q0, Q, N in ((3, 5, 20), (4, 6, 12), (6, 6, 30)):
@@ -115,9 +130,15 @@ class TestCoefficients:
 
     def test_three_way_agreement_random(self):
         rng = random.Random(23)
-        for tag in range(5):
-            table = make_random_table(rng, tag, max_N=30,
-                                      q_choices=(1, 2, 3, 4, 5, 6))
+        tables = [make_random_table(rng, tag, max_N=30,
+                                    q_choices=(1, 2, 3, 4, 5, 6))
+                  for tag in range(5)]
+        # Carmichael dot products beyond int64 take the exact-integer path
+        tables.append(big_mu_table(max(tables, key=lambda t: t.period)))
+        for table in tables:
+            for a in (1, table.period + 1):
+                assert table.value(a) == correlation(table.f_spec, table.g,
+                                                     table.N, a)
             for ell in range(1, table.g.Q + 3):
                 formula = table.coefficient(ell)
                 assert formula == table.carmichael_mean(ell)
