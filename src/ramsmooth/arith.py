@@ -4,7 +4,10 @@ Factorization is plain trial division against a cached, growable prime
 list: inputs here are desk scale and determinism matters more than speed.
 Table values are Fractions at the interface; the transforms scale a table
 to integer numerators over one common denominator and run the single
-Dirichlet sieve on them, so identity checks never touch floats.
+Dirichlet sieve on them, so identity checks never touch floats.  The
+sieve splits the pairs m * k <= X by the Dirichlet hyperbola method at
+sqrt(X), so a transform of length X costs about 2 sqrt(X) numpy slice
+updates rather than one per nonzero entry.
 """
 
 from __future__ import annotations
@@ -207,8 +210,17 @@ def dirichlet_sieve(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:
     """out[d] = sum over m * k = d of a[m] * b[k] for 1 <= d <= X; out[0] = 0.
 
     a and b are integer arrays indexed by n (index 0 ignored, zero past
-    the end).  The loop runs over the nonzero entries of the factor with
-    fewer of them.  out[d] sums at most min(nnz, tau(d)) products and
+    the end); they are swapped first so that a has fewer nonzero entries.
+    The pairs are split by the Dirichlet hyperbola method at s = isqrt(X):
+    a pair with m <= s comes from one strided slice
+    out[m::m] += a[m] * b[1:] per nonzero a[m]; a pair with m > s has
+    k <= X // m0, m0 the least nonzero index of a above s, and comes from
+    one slice out[k(s+1)::k] += b[k] * a[s+1:] per nonzero b[k].  When a
+    has fewer nonzeros above s than those b[k], its own slices cover
+    these pairs instead.  So the sieve makes at most 2 sqrt(X) slice
+    updates, and never more than the nonzeros of a.
+
+    out[d] sums at most min(nnz, tau(d)) nonzero products and
     tau(d) <= 2 sqrt(d), so int64 is used when that bound fits, else the
     same code runs on exact Python ints.
     """
@@ -216,15 +228,25 @@ def dirichlet_sieve(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:
     if np.count_nonzero(b[1:]) < np.count_nonzero(a[1:]):
         a, b = b, a
     loop = np.flatnonzero(a[1:]) + 1
-    terms = min(len(loop), 2 * isqrt(X) + 1)
+    s = isqrt(X)
+    terms = min(len(loop), 2 * s + 1)
     ma, mb = magnitude(a), magnitude(b)
     dtype = exact_dtype(max(ma, mb, ma * mb * terms))
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     out = np.zeros(X + 1, dtype=dtype)
+    small = loop[loop <= s]
+    ks = loop[:0]
+    if len(small) < len(loop):
+        ks = np.flatnonzero(b[1:X // int(loop[len(small)]) + 1]) + 1
+        if len(ks) >= len(loop) - len(small):
+            small, ks = loop, ks[:0]
     # memoryview yields plain ints without building a list of X entries
-    for m in memoryview(loop):
+    for m in memoryview(small):
         seg = b[1:X // m + 1]
         out[m:m * len(seg) + 1:m] += a[m] * seg
+    for k in memoryview(ks):
+        seg = a[s + 1:X // k + 1]
+        out[k * (s + 1):k * (s + len(seg)) + 1:k] += b[k] * seg
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 import numpy as np
@@ -232,23 +233,29 @@ class CorrelationTable:
             raise ValueError("coefficient index must be >= 1")
         L = lcm(self.period, ell)
         cprime, den = self._transform_batch(L)
-        cprime = cprime.tolist()
+        # The weight w(d) = sum_{k <= K} c_ell(k d), K = L // d, depends on d
+        # only through g = gcd(d, ell) and K: gcd(k d, ell) = g gcd(k, ell/g),
+        # so c_ell(k d) = c_ell(g k), which has period ell/g in k.  Hence
+        # w(d) = (K // (ell/g)) P_g[ell/g] + P_g[K mod ell/g] with P_g the
+        # prefix sums of k -> c_ell(g k), stored from start[g] in one array;
+        # |w(d)| <= K phi(ell) <= L ell.
         c_ell = [ramanujan_sum(ell, r) for r in range(ell)]
-        cycle_sum = {}
-        for g in divisors(ell):
-            cycle_sum[g] = sum(c_ell[(i * g) % ell] for i in range(1, ell // g + 1))
-        total = 0
-        for d in range(1, L + 1):
-            cd = cprime[d]
-            if cd == 0:
-                continue
-            g = gcd(d, ell)
-            cycle = ell // g
-            K = L // d
-            w = (K // cycle) * cycle_sum[g]
-            for k in range(1, K % cycle + 1):
-                w += c_ell[(k * d) % ell]
-            total += cd * w
+        prefix, start = [], np.zeros(ell + 1, dtype=np.int64)
+        for gd in divisors(ell):
+            start[gd] = len(prefix)
+            prefix += accumulate((c_ell[gd * k % ell]
+                                  for k in range(1, ell // gd + 1)), initial=0)
+        dtype = exact_dtype(L * ell)
+        prefix = np.array(prefix, dtype=dtype)
+        d = np.arange(1, L + 1, dtype=np.int64)
+        g = np.gcd(d, ell)
+        cycle, K, at = ell // g, L // d, start[g]
+        w = (K // cycle).astype(dtype, copy=False) * prefix[at + cycle] \
+            + prefix[at + K % cycle]
+        cprime = cprime[1:]
+        dtype = exact_dtype(magnitude(cprime) * magnitude(w) * L)
+        total = int(np.dot(cprime.astype(dtype, copy=False),
+                           w.astype(dtype, copy=False)))
         return Fraction(total, den * euler_phi(ell) * L)
 
     # -- smooth restriction ---------------------------------------------------

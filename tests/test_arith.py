@@ -1,8 +1,11 @@
 """Elementary arithmetic functions against independent oracles."""
 
 import cmath
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +191,15 @@ def sieve_factor(X, sparse, scale):
     return values.map(lambda vals: [v * scale for v in vals])
 
 
+def sieve_oracle(a, b, X):
+    """[0, out[1], ..., out[X]] by the literal divisor sum, with a and b
+    read as zero past their ends and index 0 unused."""
+    def at(v, n):
+        return int(v[n]) if n < len(v) else 0
+    return [0] + [sum(at(a, m) * at(b, d // m) for m in divisors(d))
+                  for d in range(1, X + 1)]
+
+
 class TestDirichletSieve:
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=60), st.sampled_from("ab"),
@@ -204,6 +216,64 @@ class TestDirichletSieve:
             expected = sum((a[m - 1] * b[d // m - 1] for m in divisors(d)),
                            Fraction(0))
             assert Fraction(int(out[d]), a_den * b_den) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.integers(1, 400),
+                     st.integers(2, 20).flatmap(lambda s: st.sampled_from(
+                         [s * s - 1, s * s, s * s + s]))),
+           st.data())
+    def test_hyperbola_split_oracle(self, X, data):
+        # factors of any length (zero past the end), supported on all of
+        # [1, X], sparsely, only on [1, sqrt X] or only above sqrt X, with
+        # a nonzero index 0 the sieve must never read
+        s = isqrt(X)
+        rnd = data.draw(st.randoms(use_true_random=False))
+
+        def factor():
+            length = data.draw(st.one_of(st.just(X + 1), st.integers(1, X + 1)))
+            lo, hi = data.draw(st.sampled_from([(1, X), (1, s), (s + 1, X)]))
+            density = data.draw(st.sampled_from([1.0, 0.1]))
+            vals = [data.draw(st.integers(-10, 10).filter(bool))]
+            vals += [rnd.randint(-10, 10)
+                     if lo <= n <= hi and rnd.random() < density else 0
+                     for n in range(1, length)]
+            return np.array(vals, dtype=np.int64)
+
+        a, b = factor(), factor()
+        out = dirichlet_sieve(a, b, X)
+        assert out.dtype == np.int64 and len(out) == X + 1
+        assert out.tolist() == sieve_oracle(a, b, X)
+
+    def test_hyperbola_split_edges(self):
+        # X = s^2 - 1, s^2, s^2 + s put isqrt(X) and X // (isqrt(X) + 1) at
+        # their jumps; every pair of supports, full and half length
+        for s in range(2, 13):
+            for X in (s * s - 1, s * s, s * s + s):
+                rnd, r = random.Random(X), isqrt(X)
+                factors = []
+                for lo, hi in ((1, X), (1, r), (r + 1, X)):
+                    for length in (X + 1, X // 2 + 1):
+                        vals = [rnd.choice([-7, 7])] + [
+                            rnd.randint(-9, 9) if lo <= n <= hi else 0
+                            for n in range(1, length)]
+                        factors.append(np.array(vals, dtype=np.int64))
+                for a in factors:
+                    for b in factors:
+                        assert dirichlet_sieve(a, b, X).tolist() == \
+                            sieve_oracle(a, b, X), (X, len(a), len(b))
+
+    def test_int64_bound_edge(self):
+        # a has two nonzeros, so out[d] sums at most 2 products of
+        # magnitude x * y: int64 exactly while 2 x y < 2**63
+        X, x = 10, 2 ** 31
+        a = np.zeros(X + 1, dtype=np.int64)
+        a[1] = a[2] = x
+        for y, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31 + 1, object)):
+            b = np.full(X + 1, y, dtype=np.int64)
+            out = dirichlet_sieve(a, b, X)
+            assert out.dtype == dtype
+            assert out.tolist() == sieve_oracle(a, b, X)
+            assert int(out[2]) == 2 * x * y
 
 
 class TestTransforms:

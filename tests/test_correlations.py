@@ -144,6 +144,26 @@ class TestCoefficients:
                 assert formula == table.carmichael_mean(ell)
                 assert formula == table.transform_side_coefficient(ell)
 
+    def test_transform_side_against_literal_sum(self):
+        rng = random.Random(31)
+        tables = [make_random_table(rng, tag, max_N=24,
+                                    q_choices=(2, 3, 4, 6))
+                  for tag in range(3)]
+        # C' beyond int64 in the weighted sum: the exact-integer dot product
+        tables.append(big_mu_table(tables[0]))
+        for table in tables:
+            # periods 2, 6, 6 and 2: ell = 4, 5, 7 and 12 divide none
+            for ell in (1, 2, 3, 4, 5, 7, 12):
+                L = lcm(table.period, ell)
+                literal = sum(
+                    (table.transform_value(d)
+                     * sum(ramanujan_sum(ell, k * d)
+                           for k in range(1, L // d + 1))
+                     for d in range(1, L + 1)), Fraction(0)) \
+                    / (euler_phi(ell) * L)
+                got = table.transform_side_coefficient(ell)
+                assert got == literal == table.carmichael_mean(ell)
+
     def test_carmichael_orthogonality_grid(self):
         # mean over a full period of c_l(a) c_q(n+a) collapses to
         # [q == l] c_l(n); exhaustive on l, q <= 12, n <= 24
