@@ -215,10 +215,9 @@ def dirichlet_sieve(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:
     a pair with m <= s comes from one strided slice
     out[m::m] += a[m] * b[1:] per nonzero a[m]; a pair with m > s has
     k <= X // m0, m0 the least nonzero index of a above s, and comes from
-    one slice out[k(s+1)::k] += b[k] * a[s+1:] per nonzero b[k].  When a
-    has fewer nonzeros above s than those b[k], its own slices cover
-    these pairs instead.  So the sieve makes at most 2 sqrt(X) slice
-    updates, and never more than the nonzeros of a.
+    one slice out[k(s+1)::k] += b[k] * a[s+1:] per nonzero b[k]; that
+    loop is skipped when a has no nonzero above s.  So the sieve makes
+    at most 2 sqrt(X) slice updates.
 
     out[d] sums at most min(nnz, tau(d)) nonzero products and
     tau(d) <= 2 sqrt(d), so int64 is used when that bound fits, else the
@@ -238,8 +237,6 @@ def dirichlet_sieve(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:
     ks = loop[:0]
     if len(small) < len(loop):
         ks = np.flatnonzero(b[1:X // int(loop[len(small)]) + 1]) + 1
-        if len(ks) >= len(loop) - len(small):
-            small, ks = loop, ks[:0]
     # memoryview yields plain ints without building a list of X entries
     for m in memoryview(small):
         seg = b[1:X // m + 1]

@@ -1,7 +1,6 @@
 """Elementary arithmetic functions against independent oracles."""
 
 import cmath
-import random
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -217,7 +216,7 @@ class TestDirichletSieve:
                            Fraction(0))
             assert Fraction(int(out[d]), a_den * b_den) == expected
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.one_of(st.integers(1, 400),
                      st.integers(2, 20).flatmap(lambda s: st.sampled_from(
                          [s * s - 1, s * s, s * s + s]))),
@@ -243,24 +242,6 @@ class TestDirichletSieve:
         out = dirichlet_sieve(a, b, X)
         assert out.dtype == np.int64 and len(out) == X + 1
         assert out.tolist() == sieve_oracle(a, b, X)
-
-    def test_hyperbola_split_edges(self):
-        # X = s^2 - 1, s^2, s^2 + s put isqrt(X) and X // (isqrt(X) + 1) at
-        # their jumps; every pair of supports, full and half length
-        for s in range(2, 13):
-            for X in (s * s - 1, s * s, s * s + s):
-                rnd, r = random.Random(X), isqrt(X)
-                factors = []
-                for lo, hi in ((1, X), (1, r), (r + 1, X)):
-                    for length in (X + 1, X // 2 + 1):
-                        vals = [rnd.choice([-7, 7])] + [
-                            rnd.randint(-9, 9) if lo <= n <= hi else 0
-                            for n in range(1, length)]
-                        factors.append(np.array(vals, dtype=np.int64))
-                for a in factors:
-                    for b in factors:
-                        assert dirichlet_sieve(a, b, X).tolist() == \
-                            sieve_oracle(a, b, X), (X, len(a), len(b))
 
     def test_int64_bound_edge(self):
         # a has two nonzeros, so out[d] sums at most 2 products of
