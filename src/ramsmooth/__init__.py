@@ -39,7 +39,6 @@ from .coefficients import (
 )
 from .correlations import (
     BasicHypothesisError,
-    BasicHypothesisWitness,
     CorrelationTable,
     ExpansionTailTerm,
     SeriesEstimate,

@@ -238,11 +238,7 @@ def expansion_partial(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
         win = wintner_restricted(spec, ctx, ell, tp)
         pieces.append(win.scale(ramanujan_sum(ell, a)))
     partial = interval_sum(pieces)
-    support = spec.transform_support
-    if support is not None:
-        index_tail = Fraction(0) if L >= support else _index_tail(spec, ctx, a, L)
-    else:
-        index_tail = _index_tail(spec, ctx, a, L)
+    index_tail = _index_tail(spec, ctx, a, L)
     reference = smooth_restrict(spec, ctx, a)
     return ExpansionPartial(a=a, cutoff=L, partial=partial,
                             index_tail=index_tail, reference=reference)

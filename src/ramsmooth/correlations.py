@@ -59,19 +59,6 @@ class BasicHypothesisError(ValueError):
     """The range bound exceeds the correlation length."""
 
 
-@dataclass(frozen=True)
-class BasicHypothesisWitness:
-    """Structural preconditions: g of range Q <= N, shift only in g's
-    argument (guaranteed by the types: f and g carry no shift)."""
-
-    range_ok: bool
-    fair: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.range_ok and self.fair
-
-
 def correlation(f_spec: ArithmeticFunctionSpec, g: RangeQFunction,
                 N: int, a: int) -> Fraction:
     """Exact direct sum C(N, a) = sum_{n<=N} f(n) g(n+a)."""
@@ -115,7 +102,6 @@ class CorrelationTable:
         self.g = g
         self.N = N
         self.period = table_period(g.Q)
-        self.witness = BasicHypothesisWitness(range_ok=g.Q <= N, fair=True)
         self._f_num, self._f_den = common_denominator(
             [f_spec.evaluate(n) for n in range(1, N + 1)])
         self._num, self._den = self._build_window()

@@ -22,11 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import common_denominator, dirichlet_sieve, divisors, mobius, \
-    ramanujan_sum
+from .arith import common_denominator, dirichlet_sieve, divisors, \
+    euler_phi, mobius, mobius_sieve, ramanujan_sum
 from .smooth import SmoothContext
 
-AUDIT_LIMIT = 10_000
+AUDIT_LIMIT = 2_000
 
 
 class CertificateError(ValueError):
@@ -56,6 +56,9 @@ class GrowthCertificate:
         u, v = self.exponent.numerator, self.exponent.denominator
         return (abs(Fraction(value)) / self.bound) ** v <= Fraction(n) ** u
 
+    def __str__(self):
+        return f"bound {self.bound} * n^{self.exponent}"
+
 
 @dataclass(frozen=True)
 class FiniteSupport:
@@ -66,6 +69,12 @@ class FiniteSupport:
     def __post_init__(self):
         if self.bound < 1:
             raise ValueError("support bound must be >= 1")
+
+    def admits(self, n: int, value: Fraction) -> bool:
+        return n <= self.bound or value == 0
+
+    def __str__(self):
+        return f"support <= {self.bound}"
 
 
 Certificate = GrowthCertificate | FiniteSupport
@@ -88,7 +97,6 @@ class ArithmeticFunctionSpec:
         value_window: Optional[int] = None,
         direct_certificate: Optional[Certificate] = None,
         transform_certificate: Optional[Certificate] = None,
-        audit_limit: int = 2_000,
     ):
         if values is None and transform is None:
             raise ValueError("spec needs direct values or a transform")
@@ -98,7 +106,6 @@ class ArithmeticFunctionSpec:
         self.value_window = value_window
         self.direct_certificate = direct_certificate
         self.transform_certificate = transform_certificate
-        self._audit_limit = min(audit_limit, AUDIT_LIMIT)
         self._transform_memo: dict[int, Fraction] = {}
         self._value_memo: dict[int, Fraction] = {}
         self._audited = False
@@ -122,12 +129,7 @@ class ArithmeticFunctionSpec:
             return Fraction(self._values(n))
         got = self._value_memo.get(n)
         if got is None:
-            if isinstance(self.transform_certificate, FiniteSupport):
-                D = self.transform_certificate.bound
-                got = sum((self.transform_value(d) for d in divisors(n) if d <= D),
-                          Fraction(0))
-            else:
-                got = sum((self.transform_value(d) for d in divisors(n)), Fraction(0))
+            got = sum((self.transform_value(d) for d in divisors(n)), Fraction(0))
             self._value_memo[n] = got
         return got
 
@@ -171,40 +173,39 @@ class ArithmeticFunctionSpec:
         return cert
 
     def audit(self) -> None:
-        """Sample both sides against their claimed certificates.
+        """Sample each claimed certificate over AUDIT_LIMIT indices.
 
         Runs once per spec; a violated claim aborts with the offending
         index rather than silently producing a wrong tail bound.
         """
         if self._audited:
             return
-        limit = self._audit_limit
-        if isinstance(self.direct_certificate, GrowthCertificate):
-            top = min(limit, self.value_window or limit)
-            for n in range(1, top + 1):
-                v = self.evaluate(n)
-                if not self.direct_certificate.admits(n, v):
-                    raise CertificateError(
-                        f"{self.name}: |F({n})| = {v} violates the claimed "
-                        f"bound {self.direct_certificate.bound} * n^"
-                        f"{self.direct_certificate.exponent}")
-        if isinstance(self.direct_certificate, FiniteSupport):
-            D = self.direct_certificate.bound
-            top = min(limit + D, self.value_window or (limit + D))
-            for n in range(D + 1, top + 1):
-                if self.evaluate(n) != 0:
-                    raise CertificateError(
-                        f"{self.name}: claimed direct support <= {D} "
-                        f"but F({n}) != 0")
+        claims = []
+        cert = self.direct_certificate
+        if cert is not None:
+            lo = cert.bound + 1 if isinstance(cert, FiniteSupport) else 1
+            top = lo - 1 + AUDIT_LIMIT
+            claims.append(("F", cert, lo, min(top, self.value_window or top)))
         if isinstance(self.transform_certificate, GrowthCertificate):
-            for d in range(1, limit + 1):
-                v = self.transform_value(d)
-                if not self.transform_certificate.admits(d, v):
-                    raise CertificateError(
-                        f"{self.name}: |F'({d})| = {v} violates the claimed "
-                        f"bound {self.transform_certificate.bound} * d^"
-                        f"{self.transform_certificate.exponent}")
+            claims.append(("F'", self.transform_certificate, 1, AUDIT_LIMIT))
+        for side, cert, lo, hi in claims:
+            for n, v in enumerate(self._sample(side == "F", lo, hi), lo):
+                if not cert.admits(n, v):
+                    raise CertificateError(f"{self.name}: {side}({n}) = {v} "
+                                           f"violates the claimed {cert}")
         self._audited = True
+
+    def _sample(self, direct: bool, lo: int, hi: int) -> list[Fraction]:
+        """F (direct) or F' on [lo, hi]: from the given callable, else by
+        one Dirichlet sieve of the other side over [1, hi]."""
+        if (self._values if direct else self._transform) is not None:
+            at = self.evaluate if direct else self.transform_value
+            return [at(n) for n in range(lo, hi + 1)]
+        nums, den = common_denominator([Fraction(0)] +
+                                       self._sample(not direct, 1, hi))
+        kernel = np.ones(hi + 1, dtype=np.int64) if direct else mobius_sieve(hi)
+        out = dirichlet_sieve(nums, kernel, hi)
+        return [Fraction(v, den) for v in out[lo:].tolist()]
 
 
 # -- catalog -------------------------------------------------------------
@@ -277,8 +278,6 @@ def mobius_squared_spec() -> ArithmeticFunctionSpec:
 
 def totient_ratio_spec() -> ArithmeticFunctionSpec:
     """n -> phi(n)/n, whose transform is mu(d)/d."""
-    from .arith import euler_phi
-
     return ArithmeticFunctionSpec(
         "phi-over-n",
         values=lambda n: Fraction(euler_phi(n), n),
@@ -323,8 +322,8 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
     mode "direct": the table is a window of F on [1, max index]; values
     beyond the window are unavailable.  mode "eratosthenes": the table is
     the complete transform (finite support at the max index), so F is
-    defined everywhere and a direct-side certificate follows from the
-    triangle inequality.
+    defined everywhere; without a declared certificate, a direct-side one
+    follows from the triangle inequality.
     """
     if not entries:
         raise ValueError("empty function table")
@@ -345,7 +344,7 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
             name,
             transform=lambda d: filled.get(d, Fraction(0)),
             transform_certificate=FiniteSupport(top),
-            direct_certificate=GrowthCertificate(max(mass, Fraction(1)), 0),
+            direct_certificate=certificate or GrowthCertificate(max(mass, 1), 0),
         )
     raise ValueError(f"unknown table mode {mode!r}")
 

@@ -41,8 +41,18 @@ def orthogonality_exact(q: int, ell: int) -> Fraction:
     return Fraction(total)
 
 
-def _smooth_divisors(ctx: SmoothContext, n: int) -> list[int]:
-    return [d for d in divisors(n) if ctx.is_smooth(d)]
+def _divisor_pairs(ctx: SmoothContext, q: int, ell: int):
+    """(g mu(q/g) h mu(ell/h), lcm(g, h)) over smooth g | q, h | ell with
+    both Mobius factors nonzero: for Q-smooth t, c_q(t) c_ell(t) is the
+    sum of the first entries of the pairs whose lcm divides t."""
+    for g in divisors(q):
+        mg = mobius(q // g) if ctx.is_smooth(g) else 0
+        if mg == 0:
+            continue
+        for h in divisors(ell):
+            mh = mobius(ell // h) if ctx.is_smooth(h) else 0
+            if mh:
+                yield g * mg * h * mh, g * h // gcd(g, h)
 
 
 def pair_series_exact(ctx: SmoothContext, q: int, ell: int) -> Fraction:
@@ -54,16 +64,8 @@ def pair_series_exact(ctx: SmoothContext, q: int, ell: int) -> Fraction:
     smooth t, and sum over smooth t with lcm(g,h) | t of 1/t equals
     smooth_harmonic / lcm(g, h).
     """
-    total = Fraction(0)
-    for g in _smooth_divisors(ctx, q):
-        mg = mobius(q // g)
-        if mg == 0:
-            continue
-        for h in _smooth_divisors(ctx, ell):
-            mh = mobius(ell // h)
-            if mh == 0:
-                continue
-            total += Fraction(g * mg * h * mh, g * h // gcd(g, h))
+    total = sum((Fraction(c, l) for c, l in _divisor_pairs(ctx, q, ell)),
+                Fraction(0))
     return total * ctx.smooth_harmonic
 
 
@@ -77,19 +79,8 @@ def pair_series_partial(series: SmoothSeries, q: int, ell: int,
     X = series.X if X is None else X
     if X > series.X:
         raise ValueError("partial sum cutoff exceeds the enumerated window")
-    ctx = series.ctx
-    total = Fraction(0)
-    for g in _smooth_divisors(ctx, q):
-        mg = mobius(q // g)
-        if mg == 0:
-            continue
-        for h in _smooth_divisors(ctx, ell):
-            mh = mobius(ell // h)
-            if mh == 0:
-                continue
-            l = g * h // gcd(g, h)
-            total += g * mg * h * mh * series.harmonic_up_to(X // l) / l
-    return total
+    return sum((c * series.harmonic_up_to(X // l) / l
+                for c, l in _divisor_pairs(series.ctx, q, ell)), Fraction(0))
 
 
 def orthogonality_truncated(ctx: SmoothContext, q: int, ell: int,

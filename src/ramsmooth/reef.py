@@ -68,8 +68,9 @@ def reef_rhs(table: CorrelationTable, a: int) -> Fraction:
     """sum_{l<=Q} coefficient(l) c_l(a), the conjectured expansion value."""
     if a < 1:
         raise ValueError("shift must be >= 1")
-    return sum((table.coefficient(ell) * ramanujan_sum(ell, a)
-                for ell in range(1, table.g.Q + 1)), Fraction(0))
+    coeffs = ((ell, table.coefficient(ell)) for ell in range(1, table.g.Q + 1))
+    return sum((c * ramanujan_sum(ell, a) for ell, c in coeffs if c),
+               Fraction(0))
 
 
 def reef_report(table: CorrelationTable, a: int) -> ReefReport:
@@ -299,11 +300,7 @@ def residual_profile(table: CorrelationTable, a_max: int,
         raise ValueError("shift window must stay within the length")
     if not 0 < delta < 1:
         raise ValueError("envelope exponent delta must lie in (0, 1)")
-    rows = []
-    coeffs = [(ell, table.coefficient(ell)) for ell in range(1, table.g.Q + 1)]
-    for a in range(1, a_max + 1):
-        rhs = sum((c * ramanujan_sum(ell, a) for ell, c in coeffs if c != 0),
-                  Fraction(0))
-        rows.append(ResidualRow(a=a, lhs=table.value(a), rhs=rhs))
+    rows = [ResidualRow(a=a, lhs=table.value(a), rhs=reef_rhs(table, a))
+            for a in range(1, a_max + 1)]
     return ResidualProfile(N=table.N, Q=table.g.Q, delta=Fraction(delta),
                            shift_cap=a_max, rows=tuple(rows))

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramsmooth import RangeQFunction, cli, parse_function_file
+from ramsmooth import GrowthCertificate, RangeQFunction, cli, \
+    parse_function_file
 from ramsmooth.cli import main
 
 
@@ -50,6 +51,26 @@ class TestFunctionFiles:
         path = self.write(tmp_path, "1\t1/1\n")
         with pytest.raises(ValueError):
             parse_function_file(path)
+
+    def test_eratosthenes_certificate_audited(self, tmp_path, capsys):
+        # the same false claim as in direct mode: F(1) = 1 > 1/10
+        path = self.write(tmp_path,
+                          "#mode=eratosthenes #C=1/10 #eps=0\n1\t1/1\n")
+        assert run(["coeffs", "--function", f"@{path}", "--V", "3",
+                    "--ell-max", "4"], tmp_path) == 3
+        assert "F(1) = 1 violates" in capsys.readouterr().err
+
+    def test_eratosthenes_certificate_declared_or_derived(self, tmp_path):
+        # the README example keeps its declared certificate; without one,
+        # the mass 1 + 2/5 of the table gives C = 7/5 at eps = 0
+        body = "1\t1/1\n3\t-2/5\n"
+        path = self.write(tmp_path, "#mode=eratosthenes #C=3/2 #eps=1/2\n"
+                          + body)
+        assert parse_function_file(path).direct_certificate == \
+            GrowthCertificate(Fraction(3, 2), Fraction(1, 2))
+        path = self.write(tmp_path, "#mode=eratosthenes\n" + body)
+        assert parse_function_file(path).direct_certificate == \
+            GrowthCertificate(Fraction(7, 5), 0)
 
     def test_failed_audit_rejected(self, tmp_path):
         # claims |F(n)| <= n^0 / 10 but stores F(1) = 1

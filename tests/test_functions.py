@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ramsmooth import (
     ArithmeticFunctionSpec,
     CertificateError,
+    FiniteSupport,
     FunctionTable,
     GrowthCertificate,
     build_range_q,
@@ -30,6 +31,7 @@ from ramsmooth import (
     totient_ratio_spec,
     SmoothContext,
 )
+from ramsmooth.functions import AUDIT_LIMIT
 
 ALL_CATALOG = [constant_one, lambda: point_mass(2), lambda: point_mass(7),
                lambda: ramanujan_modulus(3), lambda: ramanujan_modulus(6),
@@ -82,6 +84,9 @@ class TestCertificates:
         cert = GrowthCertificate(2, Fraction(1, 2))
         assert cert.admits(4, Fraction(4))       # 4 <= 2 * 2
         assert not cert.admits(4, Fraction(9, 2))
+        support = FiniteSupport(3)
+        assert support.admits(3, Fraction(5)) and support.admits(4, 0)
+        assert not support.admits(4, Fraction(1, 7))
 
     def test_divergent_transform_claim_rejected(self):
         # a transform growing like phi(d) cannot satisfy any sub-linear
@@ -94,6 +99,112 @@ class TestCertificates:
         )
         with pytest.raises(CertificateError):
             spec.audit()
+
+    @pytest.mark.parametrize("make, offence", [
+        # direct growth, sampled from the values
+        (lambda: spec_from_table("w", "direct", {1: 1, 2: -1, 3: 3},
+                                 GrowthCertificate(2, 0)),
+         "w: F(3) = 3 violates the claimed bound 2 * n^0"),
+        # direct growth, sieved from an eratosthenes table: F(6) = 1 + 1 + 1
+        (lambda: spec_from_table("e", "eratosthenes", {1: 1, 2: 1, 3: 1},
+                                 GrowthCertificate(2, 0)),
+         "e: F(6) = 3 violates the claimed bound 2 * n^0"),
+        # direct support
+        (lambda: ArithmeticFunctionSpec(
+            "late", values=lambda n: Fraction(n == 9),
+            direct_certificate=FiniteSupport(5)),
+         "late: F(9) = 1 violates the claimed support <= 5"),
+        # transform growth, sampled from the transform: phi(3) > 3^(1/2)
+        (lambda: ArithmeticFunctionSpec(
+            "phi", transform=lambda d: Fraction(euler_phi(d)),
+            transform_certificate=GrowthCertificate(1, Fraction(1, 2))),
+         "phi: F'(3) = 2 violates the claimed bound 1 * n^1/2"),
+        # transform growth, sieved from the values: (mu * mu)(2) = -2
+        (lambda: ArithmeticFunctionSpec(
+            "mu", values=lambda n: Fraction(mobius(n)),
+            transform_certificate=GrowthCertificate(1, 0)),
+         "mu: F'(2) = -2 violates the claimed bound 1 * n^0"),
+        # the last index of each window
+        (lambda: spec_from_table("e", "eratosthenes", {AUDIT_LIMIT: 1},
+                                 GrowthCertificate(Fraction(1, 2), 0)),
+         f"e: F({AUDIT_LIMIT}) = 1 violates the claimed bound 1/2 * n^0"),
+        (lambda: ArithmeticFunctionSpec(
+            "late", values=lambda n: Fraction(n == 5 + AUDIT_LIMIT),
+            direct_certificate=FiniteSupport(5)),
+         f"late: F({5 + AUDIT_LIMIT}) = 1 violates the claimed support <= 5"),
+        (lambda: ArithmeticFunctionSpec(
+            "point", values=lambda n: Fraction(n == AUDIT_LIMIT),
+            transform_certificate=GrowthCertificate(Fraction(1, 2), 0)),
+         f"point: F'({AUDIT_LIMIT}) = 1 violates the claimed bound 1/2 * n^0"),
+    ])
+    def test_audit_names_offending_index(self, make, offence):
+        with pytest.raises(CertificateError) as err:
+            make().audit()
+        assert str(err.value) == offence
+
+    def test_audit_window_ends(self):
+        # nothing past AUDIT_LIMIT indices per claim, or past the value
+        # window, is sampled
+        half = GrowthCertificate(Fraction(1, 2), 0)
+        spec_from_table("e", "eratosthenes", {AUDIT_LIMIT + 1: 1},
+                        half).audit()
+        ArithmeticFunctionSpec(
+            "late", values=lambda n: Fraction(n == 6 + AUDIT_LIMIT),
+            direct_certificate=FiniteSupport(5)).audit()
+        ArithmeticFunctionSpec(
+            "point", values=lambda n: Fraction(n == AUDIT_LIMIT + 1),
+            transform_certificate=half).audit()
+        spec_from_table("w", "direct", {1: 1, 5: 0}, FiniteSupport(2)).audit()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.dictionaries(st.integers(1, 40),
+                           st.fractions(-4, 4, max_denominator=6),
+                           min_size=1, max_size=8),
+           st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)]),
+           st.fractions(Fraction(1, 2), Fraction(999, 1000)))
+    def test_eratosthenes_audit_fails_at_first_offence(self, entries, eps,
+                                                       shrink):
+        oracle = spec_from_table("t", "eratosthenes", entries)
+        values = [oracle.evaluate(n) for n in range(1, AUDIT_LIMIT + 1)]
+        self.check_first_offence(
+            values, "F", lambda cert: spec_from_table(
+                "t", "eratosthenes", entries, cert), eps, shrink)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.fractions(-4, 4, max_denominator=6),
+                    min_size=1, max_size=12),
+           st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2)]),
+           st.fractions(Fraction(1, 2), Fraction(999, 1000)))
+    def test_values_only_audit_fails_at_first_offence(self, period, eps,
+                                                      shrink):
+        def values(n):
+            return period[(n - 1) % len(period)]
+        oracle = ArithmeticFunctionSpec("v", values=values)
+        transform = [oracle.transform_value(d)
+                     for d in range(1, AUDIT_LIMIT + 1)]
+        self.check_first_offence(
+            transform, "F'", lambda cert: ArithmeticFunctionSpec(
+                "v", values=values, transform_certificate=cert), eps, shrink)
+
+    @staticmethod
+    def check_first_offence(sample, side, make, eps, shrink):
+        """A claim C n^eps with C just below max |sample| over the audit
+        window fails exactly at the per-element first offence, and passes
+        when there is none."""
+        peak = max(map(abs, sample))
+        if peak == 0:
+            return
+        cert = GrowthCertificate(peak * shrink, eps)
+        first = next((n for n, v in enumerate(sample, 1)
+                      if not cert.admits(n, v)), None)
+        spec = make(cert)
+        if first is None:
+            spec.audit()
+            return
+        with pytest.raises(CertificateError) as err:
+            spec.audit()
+        assert str(err.value).startswith(
+            f"{spec.name}: {side}({first}) = {sample[first - 1]} violates")
 
     def test_missing_certificate_reported(self):
         spec = ArithmeticFunctionSpec("bare", values=lambda n: Fraction(1))
