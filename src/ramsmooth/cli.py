@@ -202,11 +202,7 @@ def _cmd_correlation(cfg: RunConfig) -> tuple[int, list[dict]]:
     g = _load_range_q(o["g"], o.get("Q"))
     table = CorrelationTable(f_spec, g, o["N"])
     failures = []
-    deviations = []
-    for a in range(1, table.period + 1):
-        dev = table.decomposition_rhs(a) - table.value(a)
-        if dev != 0:
-            deviations.append((a, dev))
+    deviations = table.decomposition_deviations()
     if deviations:
         failures.append({
             "check": "decomposition-equality",
@@ -379,10 +375,8 @@ def _cmd_verify_all(cfg: RunConfig) -> tuple[int, list[dict]]:
         f_spec, g, N = seeded_instance(rng, i, max_N=40,
                                        q_choices=(1, 2, 3, 4, 5, 6))
         table = CorrelationTable(f_spec, g, N)
-        for a in range(1, table.period + 1):
-            if table.decomposition_rhs(a) != table.value(a):
-                ok_dec = False
-                break
+        if table.decomposition_deviations():
+            ok_dec = False
         for ell in range(1, table.g.Q + 2):
             formula = table.coefficient(ell)
             if not (formula == table.carmichael_mean(ell)

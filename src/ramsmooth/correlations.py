@@ -190,6 +190,32 @@ class CorrelationTable:
                     for q, gh in enumerate(self._ghat_num.tolist(), 1) if gh)
         return Fraction(total, self._ghat_den * self._f_den)
 
+    def decomposition_deviations(self) -> list[tuple[int, Fraction]]:
+        """(a, decomposition_rhs(a) - value(a)) for each shift a in
+        [1, period] where the two differ.
+
+        One integer pass over the residue tables gives every right-hand
+        side, rhs[a - 1] = sum_q ghat_num(q) R_q[a mod q] over
+        ghat_den f_den, compared with the window on cross-multiplied
+        integers; a Fraction is built only for a deviating shift.  Each
+        step runs in int64 only when its bound on these inputs fits.
+        """
+        terms = [(gh, self._residue_table(q))
+                 for q, gh in enumerate(self._ghat_num.tolist(), 1) if gh]
+        dtype = exact_dtype(sum(abs(gh) * max(map(abs, R)) for gh, R in terms))
+        shifts = np.arange(1, self.period + 1)
+        rhs = np.zeros(self.period, dtype=dtype)
+        for gh, R in terms:
+            rhs += gh * np.array(R, dtype=dtype)[shifts % len(R)]
+        rden = self._ghat_den * self._f_den
+        lhs = self._num[:self.period]
+        dtype = exact_dtype(max(magnitude(rhs) * self._den,
+                                magnitude(lhs) * rden))
+        bad = np.flatnonzero(rhs.astype(dtype) * self._den !=
+                             lhs.astype(dtype) * rden)
+        return [(a + 1, Fraction(int(rhs[a]), rden) - self.values[a])
+                for a in bad.tolist()]
+
     def coefficient(self, ell: int) -> Fraction:
         """(ghat(ell)/phi(ell)) * sum_{n<=N} f(n) c_ell(n): the shared
         Carmichael-and-Wintner coefficient of C(N, .); 0 beyond the range."""

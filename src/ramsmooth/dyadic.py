@@ -3,35 +3,46 @@
 Everything downstream that bounds a series tail needs rational numbers r
 with a one-sided guarantee r >= b**e (or r <= b**e) for a positive rational
 base b and a rational exponent e.  We get them from integer nth roots of
-scaled integers, so the direction of every rounding is provable, with no
-float in the chain.
+scaled integers, so the direction of every rounding is provable.  A float
+only seeds the integer Newton iteration of floor_nth_root; the root it
+returns is exact, so no float reaches a bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log2
 
 DEFAULT_PRECISION_BITS = 64
 
 
 def floor_nth_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n, for n >= 0, k >= 1."""
+    """Largest r with r**k <= n, for n >= 0, k >= 1.
+
+    Integer Newton steps r -> ((k-1) r + n // r**(k-1)) // k, seeded by a
+    float 2**(log2(n) / k).  A step from any r >= 1 lands at or above the
+    floor root (AM-GM), and from there every step descends strictly until
+    it stops at the floor root, so one unconditional step makes the result
+    exact whatever the seed's error.  A seed within a float's precision of
+    the root needs a few steps for any k (a bit-length seed, up to twice
+    the root, would shrink r only by a factor 1 - 1/k per step).
+    """
     if n < 0:
         raise ValueError("floor_nth_root needs n >= 0")
     if k < 1:
         raise ValueError("floor_nth_root needs k >= 1")
     if n in (0, 1) or k == 1:
         return n
-    # Newton iteration on integers, seeded from the bit length.
-    r = 1 << ((n.bit_length() + k - 1) // k)
+    # 2**e0 * 2**(e - e0) with 2**(e - e0) < 2**53 stays inside a float
+    e = log2(n) / k
+    e0 = max(int(e) - 52, 0)
+    r = int(2.0 ** (e - e0)) + 1 << e0
+    r = ((k - 1) * r + n // r ** (k - 1)) // k
     while True:
         nxt = ((k - 1) * r + n // r ** (k - 1)) // k
         if nxt >= r:
-            break
+            return r
         r = nxt
-    while r ** k > n:
-        r -= 1
-    return r
 
 
 def _root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:

@@ -23,10 +23,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, \
-    euler_phi, mobius, mobius_sieve, ramanujan_sum
+    euler_phi, exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum
 from .smooth import SmoothContext
 
 AUDIT_LIMIT = 2_000
+
+# Largest denominator v of a certificate exponent u/v.  The Rankin tail
+# bounds take roots of order lcm(v, 2**j), j <= 4, so their cost grows
+# with v: `coeffs --V 7 --ell-max 12` on a two-entry eratosthenes table
+# takes 0.4 s at eps = 1/127 and 6.6 s at eps = 1/997 (2-CPU Xeon VM).
+MAX_EXPONENT_DENOMINATOR = 128
 
 
 class CertificateError(ValueError):
@@ -50,11 +56,52 @@ class GrowthCertificate:
             raise ValueError("certificate bound must be positive")
         if not 0 <= self.exponent < 1:
             raise ValueError("certificate exponent must lie in [0, 1)")
+        if self.exponent.denominator > MAX_EXPONENT_DENOMINATOR:
+            raise ValueError(
+                f"certificate exponent {self.exponent} has a denominator "
+                f"above {MAX_EXPONENT_DENOMINATOR}; round it up to one with "
+                f"a denominator <= {MAX_EXPONENT_DENOMINATOR} (a larger "
+                f"exponent is a weaker claim)")
 
     def admits(self, n: int, value: Fraction) -> bool:
         """Exact check of |value| <= bound * n**exponent."""
         u, v = self.exponent.numerator, self.exponent.denominator
         return (abs(Fraction(value)) / self.bound) ** v <= Fraction(n) ** u
+
+    def first_violation(self, nums: np.ndarray, den: int,
+                        lo: int) -> Optional[int]:
+        """The least n with |nums[n - lo] / den| > bound * n**exponent, or
+        None; the window is [lo, lo + len(nums)).
+
+        With bound = cn/cd and exponent = u/v, put r = |x| cd and
+        s = den cn: the claim at n reads r**v <= n**u s**v.  As
+        1 <= n**exponent <= n, r <= s admits n and r > n s refutes it,
+        that is q = (r - 1) // s below 1 or at least n; only the indices
+        between get the exact test, on Python ints.  q is computed in
+        int64 when r and s provably fit, else one index at a time, so no
+        second window of big integers is built.
+        """
+        if not len(nums):
+            return None
+        u, v = self.exponent.numerator, self.exponent.denominator
+        cn, cd = self.bound.numerator, self.bound.denominator
+        s = den * cn
+        n = np.arange(lo, lo + len(nums))
+        if exact_dtype(max(magnitude(nums) * cd, s)) is np.int64:
+            q = (np.abs(nums.astype(np.int64, copy=False)) * cd - 1) // s
+        else:  # clipped at n[-1], so q fits int64 either way
+            top = int(n[-1])
+            q = np.array([min((abs(x) * cd - 1) // s, top)
+                          for x in nums.tolist()], dtype=np.int64)
+        refuted = np.flatnonzero(q >= n)
+        first = lo + int(refuted[0]) if len(refuted) else None
+        sv = s ** v
+        for i in np.flatnonzero((q >= 1) & (q < n)).tolist():
+            if first is not None and lo + i > first:
+                break
+            if (abs(int(nums[i])) * cd) ** v > (lo + i) ** u * sv:
+                return lo + i
+        return first
 
     def __str__(self):
         return f"bound {self.bound} * n^{self.exponent}"
@@ -72,6 +119,14 @@ class FiniteSupport:
 
     def admits(self, n: int, value: Fraction) -> bool:
         return n <= self.bound or value == 0
+
+    def first_violation(self, nums: np.ndarray, den: int,
+                        lo: int) -> Optional[int]:
+        """The least n > bound with nums[n - lo] != 0, or None; the window
+        is [lo, lo + len(nums))."""
+        skip = max(self.bound + 1 - lo, 0)
+        hit = np.flatnonzero(nums[skip:])
+        return lo + skip + int(hit[0]) if len(hit) else None
 
     def __str__(self):
         return f"support <= {self.bound}"
@@ -189,23 +244,26 @@ class ArithmeticFunctionSpec:
         if isinstance(self.transform_certificate, GrowthCertificate):
             claims.append(("F'", self.transform_certificate, 1, AUDIT_LIMIT))
         for side, cert, lo, hi in claims:
-            for n, v in enumerate(self._sample(side == "F", lo, hi), lo):
-                if not cert.admits(n, v):
-                    raise CertificateError(f"{self.name}: {side}({n}) = {v} "
-                                           f"violates the claimed {cert}")
+            nums, den = self._sample(side == "F", lo, hi)
+            n = cert.first_violation(nums, den, lo)
+            if n is not None:
+                v = Fraction(int(nums[n - lo]), den)
+                raise CertificateError(f"{self.name}: {side}({n}) = {v} "
+                                       f"violates the claimed {cert}")
         self._audited = True
 
-    def _sample(self, direct: bool, lo: int, hi: int) -> list[Fraction]:
-        """F (direct) or F' on [lo, hi]: from the given callable, else by
-        one Dirichlet sieve of the other side over [1, hi]."""
+    def _sample(self, direct: bool, lo: int,
+                hi: int) -> tuple[np.ndarray, int]:
+        """(nums, den) with nums[n - lo] / den = F(n) (direct) or F'(n) on
+        [lo, hi]: from the given callable over one common denominator,
+        else by one Dirichlet sieve of the other side over [1, hi]."""
         if (self._values if direct else self._transform) is not None:
             at = self.evaluate if direct else self.transform_value
-            return [at(n) for n in range(lo, hi + 1)]
-        nums, den = common_denominator([Fraction(0)] +
-                                       self._sample(not direct, 1, hi))
+            return common_denominator([at(n) for n in range(lo, hi + 1)])
+        nums, den = self._sample(not direct, 1, hi)
+        nums = np.concatenate((np.zeros(1, dtype=nums.dtype), nums))
         kernel = np.ones(hi + 1, dtype=np.int64) if direct else mobius_sieve(hi)
-        out = dirichlet_sieve(nums, kernel, hi)
-        return [Fraction(v, den) for v in out[lo:].tolist()]
+        return dirichlet_sieve(nums, kernel, hi)[lo:], den
 
 
 # -- catalog -------------------------------------------------------------

@@ -98,9 +98,9 @@ def test_criterion_3_correlation_identities():
           f"(max period {max(t.period for t in tables)})")
     for table in tables:
         P = table.period
-        # (i) decomposition equality, every shift in one full period
-        for a in range(1, P + 1):
-            assert table.decomposition_rhs(a) == table.value(a)
+        # (i) decomposition equality, every shift in one full period by
+        # the whole-period window, and per shift at the spot shifts below
+        assert table.decomposition_deviations() == []
         # (ii) exact periodicity across the audited double window, plus
         # direct-sum spot checks
         for a in range(1, P + 1):
@@ -109,6 +109,7 @@ def test_criterion_3_correlation_identities():
         for a in {spot.randint(1, 2 * P) for _ in range(4)}:
             assert table.value(a) == rs.correlation(table.f_spec, table.g,
                                                     table.N, a)
+            assert table.decomposition_rhs(a) == table.value(a)
         # (iii) three-way coefficient agreement (all exact, radius 0)
         ells = list(range(1, table.g.Q + 1))
         ells += [ell for ell in range(table.g.Q + 1, 15) if P % ell == 0]

@@ -72,6 +72,17 @@ class TestFunctionFiles:
         assert parse_function_file(path).direct_certificate == \
             GrowthCertificate(Fraction(7, 5), 0)
 
+    def test_exponent_denominator_bounded(self, tmp_path, capsys):
+        # eps = 1/97 runs; a denominator above the bound exits 3 on one line
+        body = "1\t1/1\n3\t-2/5\n"
+        for eps, code in (("1/97", 0), ("1/997", 3)):
+            path = self.write(tmp_path, f"#mode=eratosthenes #C=3 #eps={eps}\n"
+                              + body)
+            assert run(["coeffs", "--function", f"@{path}", "--V", "7",
+                        "--ell-max", "12"], tmp_path) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1/997" in err and "round it up" in err
+
     def test_failed_audit_rejected(self, tmp_path):
         # claims |F(n)| <= n^0 / 10 but stores F(1) = 1
         path = self.write(tmp_path, "#mode=direct #C=1/10 #eps=0\n1\t1/1\n")

@@ -90,6 +90,26 @@ class TestTable:
                 assert table.value(a) == correlation(table.f_spec, table.g,
                                                      table.N, a)
 
+    def test_decomposition_deviations_match_per_shift(self):
+        rng = random.Random(13)
+        tables = [make_random_table(rng, tag, max_N=40,
+                                    q_choices=(1, 4, 6, 8))
+                  for tag in range(4)]
+        # residue sums beyond int64, and numerators beyond it
+        tables += [big_mu_table(max(tables, key=lambda t: t.period)),
+                   big_table(Fraction(2 ** 70, 7))]
+        for table in tables:
+            assert table.decomposition_deviations() == []
+            # a wrong residue sum breaks the identity on its class; the
+            # window reports exactly the per-shift deviations
+            q = max(q for q in range(1, table.g.Q + 1)
+                    if table.g.coefficient(q))
+            table._residue_table(q)[1 % q] += 1
+            want = [(a, table.decomposition_rhs(a) - table.value(a))
+                    for a in range(1, table.period + 1)
+                    if table.decomposition_rhs(a) != table.value(a)]
+            assert want and table.decomposition_deviations() == want
+
     def test_decomposition_identity_catalog(self):
         for q0, Q, N in ((3, 5, 20), (4, 6, 12), (6, 6, 30)):
             table = CorrelationTable(point_mass(2), range_q_ramanujan(q0, Q), N)

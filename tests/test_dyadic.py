@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramsmooth.dyadic import floor_nth_root, pow_bounds, pow_lower, pow_upper
 
@@ -13,6 +14,26 @@ def test_floor_nth_root(n, k):
     r = floor_nth_root(n, k)
     assert r ** k <= n
     assert (r + 1) ** k > n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=10 ** 4),
+       st.integers(min_value=0, max_value=2 ** 64),
+       st.integers(min_value=0, max_value=64))
+def test_floor_nth_root_large_k(k, top, bits):
+    # n of up to 64 k + 64 bits: r spans 0 to about 2**65 for every k
+    n = top << (bits * k)
+    r = floor_nth_root(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@pytest.mark.parametrize("k", [2, 16, 97, 997, 3001, 10 ** 4])
+def test_floor_nth_root_near_powers(k):
+    n = 1 << (64 * k)
+    assert floor_nth_root(n, k) == 1 << 64
+    assert floor_nth_root(n - 1, k) == (1 << 64) - 1
+    r = floor_nth_root(3 * n, k)
+    assert r ** k <= 3 * n < (r + 1) ** k
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6),

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +32,9 @@ from ramsmooth import (
     totient_ratio_spec,
     SmoothContext,
 )
-from ramsmooth.functions import AUDIT_LIMIT
+from ramsmooth.arith import exact_dtype
+from ramsmooth.dyadic import floor_nth_root
+from ramsmooth.functions import AUDIT_LIMIT, MAX_EXPONENT_DENOMINATOR
 
 ALL_CATALOG = [constant_one, lambda: point_mass(2), lambda: point_mass(7),
                lambda: ramanujan_modulus(3), lambda: ramanujan_modulus(6),
@@ -79,6 +82,85 @@ class TestCertificates:
             GrowthCertificate(0, 0)
         with pytest.raises(ValueError):
             GrowthCertificate(1, 1)
+
+    def test_exponent_denominator_bounded(self):
+        GrowthCertificate(1, Fraction(1, MAX_EXPONENT_DENOMINATOR))
+        with pytest.raises(ValueError, match="round it up"):
+            GrowthCertificate(1, Fraction(1, MAX_EXPONENT_DENOMINATOR + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 16]), st.data())
+    def test_first_violation_matches_admits(self, v, data):
+        """The window check names the first index where the per-element
+        admits fails.  With r = |x| cd and s = den cn each |x| is drawn
+        from one region: r <= s, s < r <= n s (near the exact threshold)
+        or r > n s.  A denominator near 2**58 puts some numerators past
+        int64, one above 2**64 puts s and every numerator past it."""
+        cert = GrowthCertificate(
+            Fraction(data.draw(st.integers(1, 40)),
+                     data.draw(st.integers(1, 7))),
+            Fraction(data.draw(st.integers(0, v - 1)), v))
+        u, v = cert.exponent.numerator, cert.exponent.denominator
+        cn, cd = cert.bound.numerator, cert.bound.denominator
+        den = data.draw(st.integers(1, 12)) * \
+            data.draw(st.sampled_from([1, 2 ** 58 + 1, 2 ** 64 + 1]))
+        s = den * cn
+        lo = data.draw(st.integers(1, 30))
+        nums = []
+        for n in range(lo, lo + data.draw(st.integers(0, 24))):
+            low, high = s // cd, n * s // cd
+            region = data.draw(st.sampled_from(["low", "mid", "high"]))
+            if region == "mid" and low < high:
+                # the largest |x| the claim admits at n, and its neighbours
+                top = floor_nth_root(n ** u * s ** v, v) // cd
+                x = min(max(top + data.draw(st.integers(-1, 1)), low + 1),
+                        high)
+            elif region == "high":
+                x = high + 1 + data.draw(st.integers(0, 3))
+            else:
+                x = data.draw(st.integers(0, low))
+            nums.append(x * data.draw(st.sampled_from([1, -1])))
+        want = next((n for n, x in enumerate(nums, lo)
+                     if not cert.admits(n, Fraction(x, den))), None)
+        dtype = exact_dtype(max(map(abs, nums), default=0))
+        assert cert.first_violation(np.array(nums, dtype=dtype), den,
+                                    lo) == want
+
+    def test_first_violation_int64_bound_covers_s(self):
+        # numerators that fit int64 over a denominator of 2**63: the int64
+        # choice must bound s = den cn as well as the numerators
+        cert = GrowthCertificate(1, Fraction(1, 2))
+        nums = np.zeros(10, dtype=np.int64)
+        nums[4] = 3 * 2 ** 61
+        assert cert.first_violation(nums, 2 ** 61, 1) == 5  # 3 > 5**(1/2)
+        assert cert.first_violation(nums, 2 ** 63, 1) is None  # 3/4
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 40),
+           st.lists(st.sampled_from([0, 0, 0, 1, -3, 2 ** 70]), max_size=30))
+    def test_support_violation_matches_admits(self, bound, lo, nums):
+        support = FiniteSupport(bound)
+        want = next((n for n, x in enumerate(nums, lo)
+                     if not support.admits(n, Fraction(x))), None)
+        dtype = exact_dtype(max(map(abs, nums), default=0))
+        assert support.first_violation(np.array(nums, dtype=dtype), 1,
+                                       lo) == want
+
+    def test_audit_compares_integers(self, monkeypatch):
+        # the audit reads numerators over one denominator; admits is only
+        # the per-element oracle
+        def refuse(self, n, value):
+            raise AssertionError("the audit called admits")
+        monkeypatch.setattr(GrowthCertificate, "admits", refuse)
+        monkeypatch.setattr(FiniteSupport, "admits", refuse)
+        mobius_spec().audit()
+        spec_from_table("e", "eratosthenes", {1: 1, 3: Fraction(-2, 5)},
+                        GrowthCertificate(Fraction(3, 2),
+                                          Fraction(1, 2))).audit()
+        point_mass(7).audit()
+        with pytest.raises(CertificateError, match=r"F\(6\) = 3 violates"):
+            spec_from_table("e", "eratosthenes", {1: 1, 2: 1, 3: 1},
+                            GrowthCertificate(2, 0)).audit()
 
     def test_admits_is_exact(self):
         cert = GrowthCertificate(2, Fraction(1, 2))
