@@ -130,9 +130,12 @@ class CorrelationTable:
         if len(bad):
             raise ArithmeticError(
                 f"correlation failed its period audit at shift {bad[0] + 1}")
-        # den becomes the lcm of the reduced denominators of the values
+        # den becomes the lcm of the reduced denominators of the values;
+        # common divides every entry, so it can pass int64 only on a
+        # window of zeros, which it leaves as it is
         common = gcd(self._f_den * g_den, *acc[:P].tolist())
-        return acc // common, self._f_den * g_den // common
+        return (acc // common if acc.any() else acc,
+                self._f_den * g_den // common)
 
     # -- exact accessors -----------------------------------------------------
 
@@ -198,19 +201,22 @@ class CorrelationTable:
         side, rhs[a - 1] = sum_q ghat_num(q) R_q[a mod q] over
         ghat_den f_den, compared with the window on cross-multiplied
         integers; a Fraction is built only for a deviating shift.  Each
-        step runs in int64 only when its bound on these inputs fits.
+        step runs in int64 only when its bound on these inputs, the
+        scalar factors included, fits.
         """
         terms = [(gh, self._residue_table(q))
                  for q, gh in enumerate(self._ghat_num.tolist(), 1) if gh]
-        dtype = exact_dtype(sum(abs(gh) * max(map(abs, R)) for gh, R in terms))
+        dtype = exact_dtype(max(sum(abs(gh) * max(map(abs, R))
+                                    for gh, R in terms),
+                                magnitude(self._ghat_num)))
         shifts = np.arange(1, self.period + 1)
         rhs = np.zeros(self.period, dtype=dtype)
         for gh, R in terms:
             rhs += gh * np.array(R, dtype=dtype)[shifts % len(R)]
         rden = self._ghat_den * self._f_den
         lhs = self._num[:self.period]
-        dtype = exact_dtype(max(magnitude(rhs) * self._den,
-                                magnitude(lhs) * rden))
+        dtype = exact_dtype(max(max(magnitude(rhs), 1) * self._den,
+                                max(magnitude(lhs), 1) * rden))
         bad = np.flatnonzero(rhs.astype(dtype) * self._den !=
                              lhs.astype(dtype) * rden)
         return [(a + 1, Fraction(int(rhs[a]), rden) - self.values[a])

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Optional
 
 import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, \
-    euler_phi, exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum
+    euler_phi, mobius, mobius_sieve, ramanujan_sum
 from .smooth import SmoothContext
 
 AUDIT_LIMIT = 2_000
@@ -68,40 +69,23 @@ class GrowthCertificate:
         u, v = self.exponent.numerator, self.exponent.denominator
         return (abs(Fraction(value)) / self.bound) ** v <= Fraction(n) ** u
 
-    def first_violation(self, nums: np.ndarray, den: int,
+    def first_violation(self, nums: np.ndarray, dens: list[int],
                         lo: int) -> Optional[int]:
-        """The least n with |nums[n - lo] / den| > bound * n**exponent, or
-        None; the window is [lo, lo + len(nums)).
+        """The least n with |nums[i] / dens[i]| > bound * n**exponent,
+        i = n - lo, or None; the window is [lo, lo + len(nums)).
 
-        With bound = cn/cd and exponent = u/v, put r = |x| cd and
-        s = den cn: the claim at n reads r**v <= n**u s**v.  As
-        1 <= n**exponent <= n, r <= s admits n and r > n s refutes it,
-        that is q = (r - 1) // s below 1 or at least n; only the indices
-        between get the exact test, on Python ints.  q is computed in
-        int64 when r and s provably fit, else one index at a time, so no
-        second window of big integers is built.
+        With bound = cn/cd and exponent = u/v, put r = |x| cd and s = d cn
+        for the value x/d at n: the claim reads r**v <= n**u s**v, on
+        Python ints.  As n**exponent >= 1, r <= s admits n without the
+        powers.
         """
-        if not len(nums):
-            return None
         u, v = self.exponent.numerator, self.exponent.denominator
         cn, cd = self.bound.numerator, self.bound.denominator
-        s = den * cn
-        n = np.arange(lo, lo + len(nums))
-        if exact_dtype(max(magnitude(nums) * cd, s)) is np.int64:
-            q = (np.abs(nums.astype(np.int64, copy=False)) * cd - 1) // s
-        else:  # clipped at n[-1], so q fits int64 either way
-            top = int(n[-1])
-            q = np.array([min((abs(x) * cd - 1) // s, top)
-                          for x in nums.tolist()], dtype=np.int64)
-        refuted = np.flatnonzero(q >= n)
-        first = lo + int(refuted[0]) if len(refuted) else None
-        sv = s ** v
-        for i in np.flatnonzero((q >= 1) & (q < n)).tolist():
-            if first is not None and lo + i > first:
-                break
-            if (abs(int(nums[i])) * cd) ** v > (lo + i) ** u * sv:
-                return lo + i
-        return first
+        for n, x, d in zip(count(lo), nums.tolist(), dens):
+            r, s = abs(x) * cd, d * cn
+            if r > s and r ** v > n ** u * s ** v:
+                return n
+        return None
 
     def __str__(self):
         return f"bound {self.bound} * n^{self.exponent}"
@@ -120,7 +104,7 @@ class FiniteSupport:
     def admits(self, n: int, value: Fraction) -> bool:
         return n <= self.bound or value == 0
 
-    def first_violation(self, nums: np.ndarray, den: int,
+    def first_violation(self, nums: np.ndarray, dens: list[int],
                         lo: int) -> Optional[int]:
         """The least n > bound with nums[n - lo] != 0, or None; the window
         is [lo, lo + len(nums))."""
@@ -244,26 +228,29 @@ class ArithmeticFunctionSpec:
         if isinstance(self.transform_certificate, GrowthCertificate):
             claims.append(("F'", self.transform_certificate, 1, AUDIT_LIMIT))
         for side, cert, lo, hi in claims:
-            nums, den = self._sample(side == "F", lo, hi)
-            n = cert.first_violation(nums, den, lo)
+            nums, dens = self._sample(side == "F", lo, hi)
+            n = cert.first_violation(nums, dens, lo)
             if n is not None:
-                v = Fraction(int(nums[n - lo]), den)
+                v = Fraction(int(nums[n - lo]), dens[n - lo])
                 raise CertificateError(f"{self.name}: {side}({n}) = {v} "
                                        f"violates the claimed {cert}")
         self._audited = True
 
     def _sample(self, direct: bool, lo: int,
-                hi: int) -> tuple[np.ndarray, int]:
-        """(nums, den) with nums[n - lo] / den = F(n) (direct) or F'(n) on
-        [lo, hi]: from the given callable over one common denominator,
-        else by one Dirichlet sieve of the other side over [1, hi]."""
+                hi: int) -> tuple[np.ndarray, list[int]]:
+        """(nums, dens) with nums[n - lo] / dens[n - lo] = F(n) (direct) or
+        F'(n) on [lo, hi]: a given callable's values as they stand, each
+        over its own denominator, else one Dirichlet sieve of the other
+        side over [1, hi] on that side's common denominator."""
         if (self._values if direct else self._transform) is not None:
             at = self.evaluate if direct else self.transform_value
-            return common_denominator([at(n) for n in range(lo, hi + 1)])
-        nums, den = self._sample(not direct, 1, hi)
-        nums = np.concatenate((np.zeros(1, dtype=nums.dtype), nums))
+            vals = [at(n) for n in range(lo, hi + 1)]
+            return (np.array([x.numerator for x in vals], dtype=object),
+                    [x.denominator for x in vals])
+        at = self.transform_value if direct else self.evaluate
+        nums, den = common_denominator([0] + [at(n) for n in range(1, hi + 1)])
         kernel = np.ones(hi + 1, dtype=np.int64) if direct else mobius_sieve(hi)
-        return dirichlet_sieve(nums, kernel, hi)[lo:], den
+        return dirichlet_sieve(nums, kernel, hi)[lo:], [den] * (hi + 1 - lo)
 
 
 # -- catalog -------------------------------------------------------------

@@ -83,6 +83,14 @@ class TestFunctionFiles:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "1/997" in err and "round it up" in err
 
+    def test_zero_table_under_huge_bound_denominator(self, tmp_path):
+        # C = 2**-63 admits an all-zero table on either side
+        for mode in ("direct", "eratosthenes"):
+            path = self.write(tmp_path, f"#mode={mode} #C=1/{2 ** 63} "
+                              "#eps=0\n1\t0\n")
+            assert parse_function_file(path).direct_certificate.bound == \
+                Fraction(1, 2 ** 63)
+
     def test_failed_audit_rejected(self, tmp_path):
         # claims |F(n)| <= n^0 / 10 but stores F(1) = 1
         path = self.write(tmp_path, "#mode=direct #C=1/10 #eps=0\n1\t1/1\n")
@@ -354,6 +362,18 @@ class TestCommandsSmoke:
         code = run(["correlation", "--f", "mu", "--g", f"@{table}",
                     "--Q", "4", "--N", "12"], tmp_path)
         assert code == 0
+
+    def test_correlation_of_zero_window(self, tmp_path):
+        # mu(1) g + mu(2) g = 0 for constant g = 2**70 or 2**-63
+        table = tmp_path / "g.tsv"
+        for g1 in (f"{2 ** 70}", f"1/{2 ** 63}"):
+            table.write_text(f"#mode=eratosthenes\n1\t{g1}\n",
+                             encoding="utf-8")
+            assert run(["correlation", "--f", "mu", "--g", f"@{table}",
+                        "--N", "2"], tmp_path) == 0
+            summary = json.loads(
+                (tmp_path / "correlation_summary.json").read_text())
+            assert summary["decomposition_max_deviation"] == "0/1"
 
     def test_reef_residual(self, tmp_path):
         code = run(["reef-residual", "--N", "20", "--Q", "5", "--n0", "2",

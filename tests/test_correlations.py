@@ -98,6 +98,12 @@ class TestTable:
         # residue sums beyond int64, and numerators beyond it
         tables += [big_mu_table(max(tables, key=lambda t: t.period)),
                    big_table(Fraction(2 ** 70, 7))]
+        # C(a) = mu(1) g + mu(2) g = 0 for constant g: an all-zero residue
+        # sum under a coefficient past int64, and an all-zero window over
+        # a denominator past it
+        for g1 in (Fraction(2 ** 70), Fraction(1, 2 ** 63)):
+            f = spec_from_table("mu", "direct", {1: 1, 2: -1})
+            tables.append(CorrelationTable(f, build_range_q(1, [g1]), 2))
         for table in tables:
             assert table.decomposition_deviations() == []
             # a wrong residue sum breaks the identity on its class; the

@@ -1,6 +1,7 @@
 """Function specs, certificates, smooth restriction, range-Q machinery."""
 
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
@@ -92,22 +93,23 @@ class TestCertificates:
     @given(st.sampled_from([1, 2, 3, 16]), st.data())
     def test_first_violation_matches_admits(self, v, data):
         """The window check names the first index where the per-element
-        admits fails.  With r = |x| cd and s = den cn each |x| is drawn
-        from one region: r <= s, s < r <= n s (near the exact threshold)
-        or r > n s.  A denominator near 2**58 puts some numerators past
-        int64, one above 2**64 puts s and every numerator past it."""
+        admits fails.  With r = |x| cd and s = d cn for the value x/d at n,
+        each |x| is drawn from one region: r <= s, s < r <= n s (near the
+        exact threshold) or r > n s.  Denominators near 2**58 put some
+        numerators past int64, ones above 2**64 put s and every numerator
+        past it."""
         cert = GrowthCertificate(
             Fraction(data.draw(st.integers(1, 40)),
                      data.draw(st.integers(1, 7))),
             Fraction(data.draw(st.integers(0, v - 1)), v))
         u, v = cert.exponent.numerator, cert.exponent.denominator
         cn, cd = cert.bound.numerator, cert.bound.denominator
-        den = data.draw(st.integers(1, 12)) * \
-            data.draw(st.sampled_from([1, 2 ** 58 + 1, 2 ** 64 + 1]))
-        s = den * cn
+        scale = data.draw(st.sampled_from([1, 2 ** 58 + 1, 2 ** 64 + 1]))
         lo = data.draw(st.integers(1, 30))
-        nums = []
+        nums, dens = [], []
         for n in range(lo, lo + data.draw(st.integers(0, 24))):
+            den = data.draw(st.integers(1, 12)) * scale
+            s = den * cn
             low, high = s // cd, n * s // cd
             region = data.draw(st.sampled_from(["low", "mid", "high"]))
             if region == "mid" and low < high:
@@ -120,20 +122,26 @@ class TestCertificates:
             else:
                 x = data.draw(st.integers(0, low))
             nums.append(x * data.draw(st.sampled_from([1, -1])))
-        want = next((n for n, x in enumerate(nums, lo)
+            dens.append(den)
+        want = next((n for n, x, den in zip(count(lo), nums, dens)
                      if not cert.admits(n, Fraction(x, den))), None)
         dtype = exact_dtype(max(map(abs, nums), default=0))
-        assert cert.first_violation(np.array(nums, dtype=dtype), den,
+        assert cert.first_violation(np.array(nums, dtype=dtype), dens,
                                     lo) == want
 
-    def test_first_violation_int64_bound_covers_s(self):
-        # numerators that fit int64 over a denominator of 2**63: the int64
-        # choice must bound s = den cn as well as the numerators
+    def test_first_violation_huge_denominators(self):
+        # values x/d whose d, or d times the bound's numerator, or the
+        # bound's denominator, is past int64
         cert = GrowthCertificate(1, Fraction(1, 2))
         nums = np.zeros(10, dtype=np.int64)
         nums[4] = 3 * 2 ** 61
-        assert cert.first_violation(nums, 2 ** 61, 1) == 5  # 3 > 5**(1/2)
-        assert cert.first_violation(nums, 2 ** 63, 1) is None  # 3/4
+        assert cert.first_violation(nums, [2 ** 61] * 10, 1) == 5  # 3 > √5
+        assert cert.first_violation(nums, [2 ** 63] * 10, 1) is None
+        tiny = GrowthCertificate(Fraction(1, 2 ** 63), 0)
+        assert tiny.first_violation(np.zeros(10, dtype=np.int64),
+                                    [1] * 10, 1) is None
+        nums[4] = 1
+        assert tiny.first_violation(nums, [2 ** 62] * 10, 1) == 5
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 30), st.integers(1, 40),
@@ -143,8 +151,8 @@ class TestCertificates:
         want = next((n for n, x in enumerate(nums, lo)
                      if not support.admits(n, Fraction(x))), None)
         dtype = exact_dtype(max(map(abs, nums), default=0))
-        assert support.first_violation(np.array(nums, dtype=dtype), 1,
-                                       lo) == want
+        assert support.first_violation(np.array(nums, dtype=dtype),
+                                       [1] * len(nums), lo) == want
 
     def test_audit_compares_integers(self, monkeypatch):
         # the audit reads numerators over one denominator; admits is only
@@ -158,6 +166,7 @@ class TestCertificates:
                         GrowthCertificate(Fraction(3, 2),
                                           Fraction(1, 2))).audit()
         point_mass(7).audit()
+        totient_ratio_spec().audit()
         with pytest.raises(CertificateError, match=r"F\(6\) = 3 violates"):
             spec_from_table("e", "eratosthenes", {1: 1, 2: 1, 3: 1},
                             GrowthCertificate(2, 0)).audit()
