@@ -21,6 +21,8 @@ from .arith import (
     omega,
     primes_up_to,
     ramanujan_sum,
+    ramanujan_sums,
+    totient_sieve,
 )
 from .coefficients import (
     CandidateComparison,

@@ -141,6 +141,20 @@ def ramanujan_sum(q: int, n: int) -> int:
     return sum(d * mobius(q // d) for d in divisors(g))
 
 
+def ramanujan_sums(q: int, ns) -> np.ndarray:
+    """[c_q(n) for n in ns] as an array of exact_dtype(q) (|c_q| <= q).
+    c_q(n) depends on n only through gcd(q, n), so this makes one
+    ramanujan_sum per distinct gcd and one gcd per n."""
+    by_gcd: dict[int, int] = {}
+    out = []
+    for n in ns:
+        g = gcd(q, n)
+        if g not in by_gcd:
+            by_gcd[g] = ramanujan_sum(q, g)
+        out.append(by_gcd[g])
+    return np.array(out, dtype=exact_dtype(q))
+
+
 @dataclass(frozen=True)
 class FunctionTable:
     """Exact values of an arithmetic function on the window [1, X]."""
@@ -204,6 +218,15 @@ def mobius_sieve(X: int) -> np.ndarray:
         rest[p::p] //= p
     mu[rest > 1] *= -1
     return mu
+
+
+def totient_sieve(X: int) -> np.ndarray:
+    """[phi(0), ..., phi(X)] as an int64 array (phi(0) = 0): starting from
+    n, each prime p <= X takes away n/p from its multiples."""
+    phi = np.arange(X + 1, dtype=np.int64)
+    for p in primes_up_to(X):
+        phi[p::p] -= phi[p::p] // p
+    return phi
 
 
 def dirichlet_sieve(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:

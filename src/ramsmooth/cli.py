@@ -3,14 +3,16 @@
 Subcommands run named identity suites and experiments, writing CSV/JSON
 artifacts whose numbers are exact rational strings `p/q` (or explicit
 center/radius pairs); repeated runs with the same flags and seed are
-byte-identical.  Exit codes: 0 all checks pass, 1 a check failed,
-2 a certified check stayed undecided, 3 usage or input errors.
+byte-identical.  Exit codes: 0 all checks pass, 1 a check failed (an
+identity, or an internal arithmetic audit), 2 a certified check stayed
+undecided, 3 usage or input errors, input too large included.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -408,7 +410,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state in it
+    between calls."""
     parser = _Parser(prog="ramsmooth", description=__doc__)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", default=None,
@@ -496,6 +501,13 @@ def main(argv: list[str] | None = None) -> int:
     except (CertificateError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:
+        # OverflowError is an ArithmeticError, so it is caught first
+        print(f"error: input too large ({exc!r})", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if failures:
         _write_json(cfg.outdir / "failures.json",
                     {"command": cfg.command, "failures": failures})

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import common_denominator, euler_phi, exact_dtype, magnitude, \
-    omega, ramanujan_sum
+    omega, ramanujan_sum, ramanujan_sums
 from .dyadic import pow_upper
 from .functions import ArithmeticFunctionSpec, CertificateError, FiniteSupport, \
     GrowthCertificate, smooth_restrict
@@ -35,6 +35,23 @@ from .smooth import SmoothContext, TailParams, best_tail_params, \
 
 class PeriodicityError(ValueError):
     """Claimed period fails the two-period audit."""
+
+
+def _smooth_sum(spec: ArithmeticFunctionSpec, ctx: SmoothContext, X: int,
+               direct: bool, weight) -> Fraction:
+    """Sum over Q-smooth t <= X of x(t) * w(t) / t, with x = F (direct) or
+    F' and weight(ts) the integer weights w at the ascending ts.
+
+    One integer sum of x_t w_t (D/t) over den * D on the spec's smooth
+    vector, D the lcm of the t with a nonzero weight, in Python ints.
+    """
+    ts, nums, den = spec.smooth_vector(ctx, X, direct)
+    w = np.asarray(weight(ts))
+    at = np.flatnonzero(w)
+    ts, nums, w = ts[at].tolist(), nums[at].tolist(), w[at].tolist()
+    D = lcm(*ts)
+    return Fraction(sum(x * c * (D // t) for t, x, c in zip(ts, nums, w)),
+                    den * D)
 
 
 def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
@@ -54,10 +71,8 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     if support is not None:
         if ell > support:
             return BoundedValue.exact(0)
-        total = Fraction(0)
-        for K in smooth_up_to(ctx, support // ell):
-            total += spec.transform_value(ell * K) / (ell * K)
-        return BoundedValue.exact(total)
+        return BoundedValue.exact(
+            _smooth_sum(spec, ctx, support, False, lambda ts: ts % ell == 0))
     cert = spec.require_transform_certificate()
     if not isinstance(cert, GrowthCertificate):
         raise CertificateError(f"{spec.name}: unsupported certificate {cert!r}")
@@ -67,9 +82,7 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     partial = Fraction(0)
     inner = X // ell
     if inner >= 1:
-        for K in smooth_up_to(ctx, inner):
-            d = ell * K
-            partial += spec.transform_value(d) / d
+        partial = _smooth_sum(spec, ctx, X, False, lambda ts: ts % ell == 0)
         tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, inner)
     else:
         tail = euler_product_upper(ctx, cert.exponent - 1)
@@ -123,19 +136,19 @@ def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     if hint is not None:
         series = pair_series_exact(ctx, hint, ell)
         return BoundedValue.exact(ctx.totient_product * series / phi)
+
+    def c_ell(ts):  # one ramanujan_sum per distinct gcd(ell, t)
+        return ramanujan_sums(ell, ts.tolist())
+
     direct = spec.direct_certificate
     if isinstance(direct, FiniteSupport):
         spec.audit()
-        total = Fraction(0)
-        for t in smooth_up_to(ctx, direct.bound):
-            total += spec.evaluate(t) * ramanujan_sum(ell, t) / t
+        total = _smooth_sum(spec, ctx, direct.bound, True, c_ell)
         return BoundedValue.exact(ctx.totient_product * total / phi)
     cert = spec.require_direct_certificate()
     if tp is None:
         tp = best_tail_params(ctx, cert.exponent, 10_000)
-    partial = Fraction(0)
-    for t in smooth_up_to(ctx, tp.truncation):
-        partial += spec.evaluate(t) * ramanujan_sum(ell, t) / t
+    partial = _smooth_sum(spec, ctx, tp.truncation, True, c_ell)
     tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, tp.truncation)
     center = ctx.totient_product * partial / phi
     radius = ctx.totient_product * ell * cert.bound * tail / phi
@@ -191,7 +204,7 @@ def carmichael_periodic_mean(nums: np.ndarray, den: int, ell: int) -> Fraction:
     """Carmichael coefficient of F(a) = nums[(a - 1) % P] / den, P = len(nums):
     its mean against c_ell over lcm(P, ell) consecutive a (P not audited)."""
     L = lcm(len(nums), ell)
-    c = np.array([ramanujan_sum(ell, a) for a in range(1, ell + 1)])
+    c = ramanujan_sums(ell, range(1, ell + 1))
     dtype = exact_dtype(magnitude(nums) * magnitude(c) * L)
     total = np.dot(np.resize(nums.astype(dtype), L),
                    np.resize(c.astype(dtype), L))

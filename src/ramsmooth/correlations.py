@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -21,7 +22,8 @@ from math import gcd, lcm
 import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
-    exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum
+    exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum, \
+    ramanujan_sums
 from .coefficients import carmichael_periodic_mean
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
@@ -105,7 +107,6 @@ class CorrelationTable:
         self._f_num, self._f_den = common_denominator(
             [f_spec.evaluate(n) for n in range(1, N + 1)])
         self._num, self._den = self._build_window()
-        self.values = [Fraction(v, self._den) for v in self._num.tolist()]
         self._ghat_num, self._ghat_den = common_denominator(g.ghat)
         self._transform_memo: dict[int, Fraction] = {}
         self._residue_sums: dict[int, list[int]] = {}
@@ -139,11 +140,17 @@ class CorrelationTable:
 
     # -- exact accessors -----------------------------------------------------
 
+    @cached_property
+    def values(self) -> list[Fraction]:
+        """[C(N, 1), ..., C(N, 2 period)], built on first read; the
+        identities read the integer window instead."""
+        return [Fraction(v, self._den) for v in self._num.tolist()]
+
     def value(self, a: int) -> Fraction:
         """C(N, a) for any a >= 1, via periodicity."""
         if a < 1:
             raise ValueError("shift must be >= 1")
-        return self.values[(a - 1) % self.period]
+        return Fraction(int(self._num[(a - 1) % self.period]), self._den)
 
     def max_abs(self) -> Fraction:
         return Fraction(magnitude(self._num[:self.period]), self._den)
@@ -171,7 +178,7 @@ class CorrelationTable:
         if q not in self._residue_sums:
             f = self._f_num.tolist()
             by_class = [sum(f[i::q]) for i in range(q)]  # n = i + 1 (mod q)
-            c_q = [ramanujan_sum(q, m) for m in range(2 * q)]
+            c_q = ramanujan_sums(q, range(2 * q)).tolist()
             self._residue_sums[q] = [
                 sum(S * c_q[i + 1 + r] for i, S in enumerate(by_class))
                 for r in range(q)]
@@ -219,7 +226,7 @@ class CorrelationTable:
                                 max(magnitude(lhs), 1) * rden))
         bad = np.flatnonzero(rhs.astype(dtype) * self._den !=
                              lhs.astype(dtype) * rden)
-        return [(a + 1, Fraction(int(rhs[a]), rden) - self.values[a])
+        return [(a + 1, Fraction(int(rhs[a]), rden) - self.value(a + 1))
                 for a in bad.tolist()]
 
     def coefficient(self, ell: int) -> Fraction:
@@ -257,7 +264,7 @@ class CorrelationTable:
         # w(d) = (K // (ell/g)) P_g[ell/g] + P_g[K mod ell/g] with P_g the
         # prefix sums of k -> c_ell(g k), stored from start[g] in one array;
         # |w(d)| <= K phi(ell) <= L ell.
-        c_ell = [ramanujan_sum(ell, r) for r in range(ell)]
+        c_ell = ramanujan_sums(ell, range(ell)).tolist()
         prefix, start = [], np.zeros(ell + 1, dtype=np.int64)
         for gd in divisors(ell):
             start[gd] = len(prefix)

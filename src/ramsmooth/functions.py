@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Callable, Optional
 
 import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, \
-    euler_phi, mobius, mobius_sieve, ramanujan_sum
-from .smooth import SmoothContext
+    euler_phi, exact_dtype, magnitude, mobius, mobius_sieve, \
+    ramanujan_sum, ramanujan_sums, totient_sieve
+from .smooth import SmoothContext, smooth_up_to
 
 AUDIT_LIMIT = 2_000
 
@@ -118,6 +120,24 @@ class FiniteSupport:
 
 Certificate = GrowthCertificate | FiniteSupport
 
+# One side of a spec at some indices as integers: (nums, dens) with
+# nums[i] / dens[i] its value at the i-th index; dens is one int for every
+# index, or an integer array with one per index.  The array forms give the
+# indices 0..X, with nums[0] = 0.
+ExactArray = tuple[np.ndarray, "int | np.ndarray"]
+
+
+def _over_one_denominator(array: ExactArray) -> tuple[np.ndarray, int]:
+    """(nums, den) with one den, the lcm of an array's denominators."""
+    nums, dens = array
+    if isinstance(dens, int):
+        return nums, dens
+    den = lcm(*dens.tolist())
+    scaled = [x * (den // d) for x, d in zip(nums.tolist(), dens.tolist())]
+    return (np.array(scaled,
+                     dtype=exact_dtype(max(map(abs, scaled), default=0))),
+            den)
+
 
 class ArithmeticFunctionSpec:
     """A function F given by direct values and/or its transform F'.
@@ -125,6 +145,13 @@ class ArithmeticFunctionSpec:
     Exactly those operations whose inputs are available will work;
     anything needing a certified infinite tail insists on an audited
     growth certificate for the relevant side.
+
+    values_array and transform_array optionally give a side as one
+    ExactArray on [0, X] (a sieve, a table), which the audit reads in
+    place of one call of the side's callable per index; each must agree
+    with its callable and cost O(X) whatever the spec's parameters (so
+    indicator:n0 has no direct array form: its audit window starts past
+    n0).
     """
 
     def __init__(
@@ -136,17 +163,25 @@ class ArithmeticFunctionSpec:
         value_window: Optional[int] = None,
         direct_certificate: Optional[Certificate] = None,
         transform_certificate: Optional[Certificate] = None,
+        values_array: Optional[Callable[[int], ExactArray]] = None,
+        transform_array: Optional[Callable[[int], ExactArray]] = None,
     ):
         if values is None and transform is None:
             raise ValueError("spec needs direct values or a transform")
+        if (values_array and not values) or \
+                (transform_array and not transform):
+            raise ValueError("an array form needs the side's callable")
         self.name = name
         self._values = values
         self._transform = transform
+        self._values_array = values_array
+        self._transform_array = transform_array
         self.value_window = value_window
         self.direct_certificate = direct_certificate
         self.transform_certificate = transform_certificate
         self._transform_memo: dict[int, Fraction] = {}
         self._value_memo: dict[int, Fraction] = {}
+        self._smooth_memo: dict[tuple[int, bool], tuple] = {}
         self._audited = False
         # Set by catalog constructors whose F is a Ramanujan sum c_{q0};
         # enables exact Euler-product evaluation of smooth series in F.
@@ -192,6 +227,56 @@ class ArithmeticFunctionSpec:
     def transform_support(self) -> Optional[int]:
         cert = self.transform_certificate
         return cert.bound if isinstance(cert, FiniteSupport) else None
+
+    def smooth_vector(self, ctx: SmoothContext, X: int,
+                      direct: bool) -> tuple[np.ndarray, np.ndarray, int]:
+        """(ts, nums, den): the Q-smooth t <= X ascending, and
+        F(t) (direct) or F'(t) = nums[i] / den on one denominator.
+
+        Memoized per (Q, side): the vector for the largest X asked so far
+        is kept, and a smaller X reads a prefix of it.  A side given as a
+        callable is sampled once per smooth t.  A side given only through
+        the other is derived from the other's vector on the smooth monoid,
+        which holds every divisor of its members: F' = F * mu by one
+        Mobius pass H(t) = G(t) - G(t/p) per prime p <= Q, and F = F' * 1
+        by one zeta pass H(t) = sum_k G(t/p**k) per prime.  Neither reads
+        a dense window of [1, X] (an array form, a Dirichlet sieve): X runs
+        to the cutoff caps (10**12 in wintner_to_target, --L in expand),
+        where the smooth t <= X stay few.
+        """
+        key = (ctx.Q, direct)
+        got = self._smooth_memo.get(key)
+        if got is None or got[0] < X:
+            got = self._smooth_memo[key] = (X, *self._build_smooth_vector(
+                ctx, X, direct))
+        _, ts, nums, den = got
+        k = int(np.searchsorted(ts, X, side="right"))
+        return ts[:k], nums[:k], den
+
+    def _build_smooth_vector(self, ctx: SmoothContext, X: int, direct: bool,
+                             ) -> tuple[np.ndarray, np.ndarray, int]:
+        ts = np.array(smooth_up_to(ctx, X), dtype=exact_dtype(X))
+        if (self._values if direct else self._transform) is not None:
+            return (ts, *_over_one_denominator(
+                self._given_side(direct, ts.tolist())))
+        _, given, den = self.smooth_vector(ctx, X, not direct)
+        # every partial sum below adds at most one term per smooth
+        # divisor of t, so len(ts) * max|given| bounds each entry
+        dtype = exact_dtype(magnitude(given) * len(ts))
+        given = given.astype(dtype)
+        for p in ctx.primes:
+            out = given.copy()
+            pk = p
+            while pk <= X:
+                at = np.flatnonzero(ts % pk == 0)
+                below = given[np.searchsorted(ts, ts[at] // pk)]
+                if not direct:  # Mobius: H(t) = G(t) - G(t/p)
+                    out[at] -= below
+                    break
+                out[at] += below  # zeta: H(t) = sum over k of G(t/p**k)
+                pk *= p
+            given = out
+        return ts, given, den
 
     # -- certificate plumbing --------------------------------------------
 
@@ -239,21 +324,73 @@ class ArithmeticFunctionSpec:
     def _sample(self, direct: bool, lo: int,
                 hi: int) -> tuple[np.ndarray, list[int]]:
         """(nums, dens) with nums[n - lo] / dens[n - lo] = F(n) (direct) or
-        F'(n) on [lo, hi]: a given callable's values as they stand, each
-        over its own denominator, else one Dirichlet sieve of the other
-        side over [1, hi] on that side's common denominator."""
+        F'(n) on [lo, hi]: a given side as _given_side reads it, or else one
+        Dirichlet sieve of the other side over [1, hi] on that side's
+        common denominator."""
         if (self._values if direct else self._transform) is not None:
-            at = self.evaluate if direct else self.transform_value
-            vals = [at(n) for n in range(lo, hi + 1)]
-            return (np.array([x.numerator for x in vals], dtype=object),
-                    [x.denominator for x in vals])
-        at = self.transform_value if direct else self.evaluate
-        nums, den = common_denominator([0] + [at(n) for n in range(1, hi + 1)])
-        kernel = np.ones(hi + 1, dtype=np.int64) if direct else mobius_sieve(hi)
-        return dirichlet_sieve(nums, kernel, hi)[lo:], [den] * (hi + 1 - lo)
+            nums, dens = self._given_side(direct, range(lo, hi + 1))
+        else:
+            given, dens = _over_one_denominator(
+                self._given_side(not direct, range(1, hi + 1)))
+            kernel = np.ones(hi + 1, dtype=np.int64) if direct \
+                else mobius_sieve(hi)
+            nums = dirichlet_sieve(np.concatenate(([0], given)), kernel,
+                                   hi)[lo:]
+        return nums, [dens] * (hi + 1 - lo) if isinstance(dens, int) \
+            else dens.tolist()
+
+    def _given_side(self, direct: bool, ns) -> ExactArray:
+        """A given side at the ascending indices ns >= 1: on a window
+        ns = range(lo, hi + 1), its array form when it has one; else one
+        call of its callable per index, each value over its own
+        denominator.  An array form costs O(hi) however few the indices,
+        so sparse indices (the smooth t <= X) never read it."""
+        array = self._values_array if direct else self._transform_array
+        if array is not None and isinstance(ns, range):
+            nums, dens = array(ns.stop - 1)
+            return (nums[ns.start:],
+                    dens if isinstance(dens, int) else dens[ns.start:])
+        at = self.evaluate if direct else self.transform_value
+        vals = [at(n) for n in ns]
+        return (np.array([x.numerator for x in vals], dtype=object),
+                np.array([x.denominator for x in vals], dtype=object))
 
 
 # -- catalog -------------------------------------------------------------
+
+# Array forms of the catalog callables.  Each is built when the audit asks
+# for it, never at import or construction.
+
+def _zeroed(nums: np.ndarray) -> ExactArray:
+    """nums with nums[0] = 0, over the denominator 1."""
+    nums[0] = 0
+    return nums, 1
+
+
+def _over_index(X: int) -> np.ndarray:
+    """[1, 1, 2, ..., X]: the denominator n at each index n >= 1."""
+    dens = np.arange(X + 1, dtype=np.int64)
+    dens[0] = 1
+    return dens
+
+
+def _multiples(n0: int, X: int) -> np.ndarray:
+    """[mu(n / n0) if n0 | n else 0 for n in 0..X]."""
+    nums = np.zeros(X + 1, dtype=np.int64)
+    nums[n0::n0] = mobius_sieve(X // n0)[1:]
+    return nums
+
+
+def _table_array(filled: dict[int, Fraction], X: int) -> ExactArray:
+    """filled, which holds the indices 1..top in order, on [0, X], zero
+    past top, each entry over its own denominator."""
+    vals = list(filled.values())[:X]
+    pad = [0] * (X - len(vals))
+    nums = [0] + [v.numerator for v in vals] + pad
+    dens = [1] + [v.denominator for v in vals] + [1] * len(pad)
+    return (np.array(nums, dtype=exact_dtype(max(map(abs, nums)))),
+            np.array(dens, dtype=exact_dtype(max(dens))))
+
 
 def constant_one() -> ArithmeticFunctionSpec:
     """F identically 1; transform is the indicator of 1."""
@@ -263,6 +400,7 @@ def constant_one() -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(1 if d == 1 else 0),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=FiniteSupport(1),
+        values_array=lambda X: _zeroed(np.ones(X + 1, dtype=np.int64)),
     )
     # constant-one is the modulus-1 Ramanujan sum; exact Euler-product
     # evaluation of its smooth series reuses that fact.
@@ -284,6 +422,7 @@ def point_mass(n0: int) -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(mobius(d // n0) if d % n0 == 0 else 0),
         direct_certificate=FiniteSupport(n0),
         transform_certificate=GrowthCertificate(1, 0),
+        transform_array=lambda X: (_multiples(n0, X), 1),
     )
 
 
@@ -297,6 +436,7 @@ def ramanujan_modulus(q0: int) -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(d * mobius(q0 // d) if q0 % d == 0 else 0),
         direct_certificate=GrowthCertificate(q0, 0),
         transform_certificate=FiniteSupport(q0),
+        values_array=lambda X: _zeroed(ramanujan_sums(q0, range(X + 1))),
     )
     spec.ramanujan_hint = q0
     return spec
@@ -309,6 +449,7 @@ def mobius_spec() -> ArithmeticFunctionSpec:
         values=lambda n: Fraction(mobius(n)),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=GrowthCertificate(2, Fraction(1, 2)),
+        values_array=lambda X: (mobius_sieve(X), 1),
     )
 
 
@@ -318,6 +459,7 @@ def mobius_squared_spec() -> ArithmeticFunctionSpec:
         values=lambda n: Fraction(mobius(n) ** 2),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=GrowthCertificate(1, 0),
+        values_array=lambda X: (mobius_sieve(X) ** 2, 1),
     )
 
 
@@ -329,6 +471,8 @@ def totient_ratio_spec() -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(mobius(d), d),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=GrowthCertificate(1, 0),
+        values_array=lambda X: (totient_sieve(X), _over_index(X)),
+        transform_array=lambda X: (mobius_sieve(X), _over_index(X)),
     )
 
 
@@ -382,6 +526,7 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
             values=lambda n: filled[n],
             value_window=top,
             direct_certificate=certificate,
+            values_array=lambda X: _table_array(filled, X),
         )
     if mode == "eratosthenes":
         mass = sum(abs(v) for v in filled.values())
@@ -390,6 +535,7 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
             transform=lambda d: filled.get(d, Fraction(0)),
             transform_certificate=FiniteSupport(top),
             direct_certificate=certificate or GrowthCertificate(max(mass, 1), 0),
+            transform_array=lambda X: _table_array(filled, X),
         )
     raise ValueError(f"unknown table mode {mode!r}")
 

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramsmooth
 from ramsmooth import GrowthCertificate, RangeQFunction, cli, \
     parse_function_file
 from ramsmooth.cli import main
@@ -150,7 +155,58 @@ class TestDeterminism:
             (b / "conjecture1.json").read_bytes()
 
 
+class TestParserBuiltOnce:
+    def test_usage_error_then_valid_argv(self, tmp_path):
+        assert run(["coeffs", "--function", "mu", "--V", "x"], tmp_path) == 3
+        assert run(["coeffs", "--function", "mu", "--V", "3",
+                    "--ell-max", "4"], tmp_path) == 0
+
+    def test_subcommands_in_a_row_match_fresh_runs(self, tmp_path):
+        argvs = [["coeffs", "--function", "phi-over-n", "--V", "5",
+                  "--ell-max", "6"],
+                 ["correlation", "--f", "mu", "--g", "ramanujan:3",
+                  "--N", "12", "--Q", "4"]]
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(ramsmooth.__file__).parents[1])}
+        for i, argv in enumerate(argvs):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--out",
+                             str(tmp_path / "row" / str(i))]) == 0
+            subprocess.run([sys.executable, "-m", "ramsmooth.cli", *argv,
+                            "--out", str(tmp_path / "fresh" / str(i))],
+                           env=env, check=True, capture_output=True)
+        for i in range(len(argvs)):
+            fresh = sorted((tmp_path / "fresh" / str(i)).iterdir())
+            assert fresh
+            for path in fresh:
+                assert (tmp_path / "row" / str(i) / path.name).read_bytes() \
+                    == path.read_bytes()
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, text", [
+        (OverflowError("int too large to convert"), 3, "input too large"),
+        (MemoryError(), 3, "input too large"),
+        (ArithmeticError("period audit failed"), 1, "period audit failed"),
+    ])
+    def test_unmapped_errors(self, exc, code, text, tmp_path, capsys,
+                             monkeypatch):
+        def command(cfg):
+            raise exc
+        monkeypatch.setitem(cli._COMMANDS, "coeffs", command)
+        assert run(["coeffs", "--function", "mu", "--V", "3"],
+                   tmp_path) == code
+        err = capsys.readouterr().err
+        assert text in err and err.count("\n") == 1
+
+    def test_counterexample_drift_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("ramsmooth.reef.euler_phi", lambda n: n + 1)
+        assert run(["counterexample", "--N", "20", "--Q", "5", "--n0", "2",
+                    "--q0", "3"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "counterexample values drifted" in err
+        assert err.count("\n") == 1
+
     def test_usage_error_unknown_function(self, tmp_path):
         assert run(["coeffs", "--function", "nope", "--V", "3"], tmp_path) == 3
 

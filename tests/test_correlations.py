@@ -76,6 +76,16 @@ class TestTable:
             assert table.value(a) == correlation(table.f_spec, table.g,
                                                  table.N, a)
 
+    def test_values_built_on_first_read(self):
+        table = make_random_table(random.Random(3), 0)
+        assert not table.decomposition_deviations()
+        for ell in range(1, table.g.Q + 2):
+            table.carmichael_mean(ell)
+        assert [table.value(a) for a in range(1, table.period + 1)]
+        assert "values" not in vars(table)
+        assert table.values == [table.value(a)
+                                for a in range(1, 2 * table.period + 1)]
+
     def test_decomposition_identity_random(self):
         rng = random.Random(11)
         tables = [make_random_table(rng, tag, max_N=40,
