@@ -69,6 +69,7 @@ from .functions import (
     point_mass,
     ramanujan_modulus,
     totient_ratio_spec,
+    range_q,
     range_q_constant_one,
     range_q_ramanujan,
     smooth_restrict,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Mapping
 
 import numpy as np
 
@@ -165,15 +164,6 @@ class FunctionTable:
     def __post_init__(self):
         if self.upper < 1 or len(self.values) != self.upper:
             raise ValueError("table must cover exactly [1, upper]")
-
-    @classmethod
-    def from_mapping(cls, upper: int, mapping: Mapping[int, Fraction | int]) -> "FunctionTable":
-        vals = []
-        for n in range(1, upper + 1):
-            if n not in mapping:
-                raise ValueError(f"missing value at n={n}")
-            vals.append(Fraction(mapping[n]))
-        return cls(upper, tuple(vals))
 
     @classmethod
     def from_callable(cls, upper: int, fn) -> "FunctionTable":

@@ -25,11 +25,10 @@ from .arith import euler_phi, factorize, mobius
 from .coefficients import coefficient_record, expansion_partial
 from .correlations import CorrelationTable, seeded_instance, table_period
 from .functions import ArithmeticFunctionSpec, CertificateError, RangeQFunction, \
-    build_range_q, catalog_spec, format_rational, parse_function_file, \
-    parse_rational, range_q_constant_one, range_q_ramanujan
+    catalog_spec, format_rational, parse_function_file, parse_rational, range_q
 from .orthogonality import orthogonality_exact, orthogonality_truncated_auto
 from .reef import counterexample_report, find_shifted_orthogonality_violations, \
-    reef_report, residual_profile, ReefInstance
+    residual_profile, ReefInstance
 from .smooth import SmoothContext, smooth_up_to, sifted_count, smooth_power_series
 
 EXIT_PASS = 0
@@ -101,30 +100,22 @@ def _load_spec(token: str) -> ArithmeticFunctionSpec:
 
 
 def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
-    """g from a catalog token or an eratosthenes-mode table file.
+    """g from any spec token (a catalog id or an @file) whose transform has a
+    finite support, as a function of range Q (by default the support).
 
     The range bound is checked against the table period budget before g
     is built, since building costs time that grows with the bound.
     """
-    if token.startswith("@"):
-        spec = parse_function_file(token[1:])
-        support = spec.transform_support
-        if support is None:
-            raise _UsageError("range-Q input must be an eratosthenes-mode table")
-        bound = support if Q is None else Q
-        if bound < support:
-            raise _UsageError(f"--Q {bound} smaller than table support {support}")
-        table_period(bound)
-        return build_range_q(bound, {d: spec.transform_value(d)
-                                     for d in range(1, support + 1)})
-    if token == "constant-one":
-        return range_q_constant_one()
-    if token.startswith("ramanujan:"):
-        q0 = int(token.partition(":")[2])
-        bound = q0 if Q is None else Q
-        table_period(bound)
-        return range_q_ramanujan(q0, bound)
-    raise _UsageError(f"cannot interpret {token!r} as a range-Q function")
+    spec = _load_spec(token)
+    support = spec.transform_support
+    if support is None:
+        raise _UsageError(f"{spec.name} has no finite transform support, "
+                          f"so it is not a range-Q function")
+    bound = support if Q is None else Q
+    if bound < support:
+        raise _UsageError(f"--Q {bound} smaller than table support {support}")
+    table_period(bound)
+    return range_q(spec, bound)
 
 
 # -- commands -----------------------------------------------------------------
@@ -349,11 +340,9 @@ def _cmd_verify_all(cfg: RunConfig) -> tuple[int, list[dict]]:
     ok = all(orthogonality_exact(q, l) ==
              (euler_phi(l) if q == l else 0) for q in grid for l in grid)
     check("orthogonality exact grid Q=3", ok)
-    cache: dict = {}
     ok = True
     for q in (1, 2, 3, 4):
-        got, _ = orthogonality_truncated_auto(
-            ctx3, q, q, Fraction(1, 100), series_cache=cache)
+        got, _ = orthogonality_truncated_auto(ctx3, q, q, Fraction(1, 100))
         ok &= got.contains(euler_phi(q))
     check("orthogonality truncated diagonal Q=3", ok)
 

@@ -37,23 +37,6 @@ class PeriodicityError(ValueError):
     """Claimed period fails the two-period audit."""
 
 
-def _smooth_sum(spec: ArithmeticFunctionSpec, ctx: SmoothContext, X: int,
-               direct: bool, weight) -> Fraction:
-    """Sum over Q-smooth t <= X of x(t) * w(t) / t, with x = F (direct) or
-    F' and weight(ts) the integer weights w at the ascending ts.
-
-    One integer sum of x_t w_t (D/t) over den * D on the spec's smooth
-    vector, D the lcm of the t with a nonzero weight, in Python ints.
-    """
-    ts, nums, den = spec.smooth_vector(ctx, X, direct)
-    w = np.asarray(weight(ts))
-    at = np.flatnonzero(w)
-    ts, nums, w = ts[at].tolist(), nums[at].tolist(), w[at].tolist()
-    D = lcm(*ts)
-    return Fraction(sum(x * c * (D // t) for t, x, c in zip(ts, nums, w)),
-                    den * D)
-
-
 def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
                        ell: int, tp: Optional[TailParams] = None) -> BoundedValue:
     """Wintner coefficient of the V-smooth restriction at index ell.
@@ -72,7 +55,7 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
         if ell > support:
             return BoundedValue.exact(0)
         return BoundedValue.exact(
-            _smooth_sum(spec, ctx, support, False, lambda ts: ts % ell == 0))
+            spec.smooth_sum(ctx, support, False, lambda ts: ts % ell == 0))
     cert = spec.require_transform_certificate()
     if not isinstance(cert, GrowthCertificate):
         raise CertificateError(f"{spec.name}: unsupported certificate {cert!r}")
@@ -82,7 +65,7 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     partial = Fraction(0)
     inner = X // ell
     if inner >= 1:
-        partial = _smooth_sum(spec, ctx, X, False, lambda ts: ts % ell == 0)
+        partial = spec.smooth_sum(ctx, X, False, lambda ts: ts % ell == 0)
         tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, inner)
     else:
         tail = euler_product_upper(ctx, cert.exponent - 1)
@@ -143,12 +126,12 @@ def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     direct = spec.direct_certificate
     if isinstance(direct, FiniteSupport):
         spec.audit()
-        total = _smooth_sum(spec, ctx, direct.bound, True, c_ell)
+        total = spec.smooth_sum(ctx, direct.bound, True, c_ell)
         return BoundedValue.exact(ctx.totient_product * total / phi)
     cert = spec.require_direct_certificate()
     if tp is None:
         tp = best_tail_params(ctx, cert.exponent, 10_000)
-    partial = _smooth_sum(spec, ctx, tp.truncation, True, c_ell)
+    partial = spec.smooth_sum(ctx, tp.truncation, True, c_ell)
     tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, tp.truncation)
     center = ctx.totient_product * partial / phi
     radius = ctx.totient_product * ell * cert.bound * tail / phi

@@ -5,9 +5,11 @@ With f and g shift-free by construction (fairness is a property of the
 formula shape, so it is enforced structurally), C(N, .) is periodic mod
 lcm(2..Q) and decomposes exactly through the finite expansion of g.  The
 module computes the correlation table over two periods, its transform in
-the shift variable, the coefficient identities, the smooth-restricted
-correlation, and both the certified (smooth side) and empirical
-(full-series) Wintner sums of the transform.
+the shift variable, the coefficient identities, and both the certified
+(smooth side) and empirical (full-series) Wintner sums of the transform.
+As a function of the shift, C(N, .) is an ArithmeticFunctionSpec
+(CorrelationTable.function), so its smooth restriction and switch
+identity are those of the function layer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from math import gcd, lcm
 
 import numpy as np
 
+# mobius is not called here, but perfbench/test_perfbench.py checks that
+# tracing rebinds correlations.mobius, so the name stays bound.
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
     exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum, \
     ramanujan_sums
@@ -108,14 +112,13 @@ class CorrelationTable:
             [f_spec.evaluate(n) for n in range(1, N + 1)])
         self._num, self._den = self._build_window()
         self._ghat_num, self._ghat_den = common_denominator(g.ghat)
-        self._transform_memo: dict[int, Fraction] = {}
         self._residue_sums: dict[int, list[int]] = {}
         self._batch_memo: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
     def _build_window(self) -> tuple[np.ndarray, int]:
-        g_num, g_den = common_denominator(self.g.period_table(self.period))
+        g_num, g_den = self.g.period_table(self.period)
         P = self.period
         # C(a) = num[a - 1] / den over a in [1, 2P] by integer dot products,
         # int64 only when magnitudes provably fit, else exact Python ints.
@@ -152,19 +155,21 @@ class CorrelationTable:
             raise ValueError("shift must be >= 1")
         return Fraction(int(self._num[(a - 1) % self.period]), self._den)
 
+    @cached_property
+    def function(self) -> ArithmeticFunctionSpec:
+        """C(N, .) as an arithmetic function of the shift, its values read
+        by periodicity from the window: its transform C', smooth
+        restriction (smooth_restrict), switch identity (mobius_switch_rhs)
+        and smooth sums come from the function layer."""
+        return ArithmeticFunctionSpec(f"C(N={self.N}) of {self.f_spec.name}",
+                                      values=self.value)
+
     def max_abs(self) -> Fraction:
         return Fraction(magnitude(self._num[:self.period]), self._den)
 
     def transform_value(self, d: int) -> Fraction:
         """Shift-variable transform C'(N, d) = sum_{t|d} C(N, t) mu(d/t)."""
-        if d < 1:
-            raise ValueError("transform index must be >= 1")
-        got = self._transform_memo.get(d)
-        if got is None:
-            got = sum((self.value(t) * mobius(d // t) for t in divisors(d)),
-                      Fraction(0))
-            self._transform_memo[d] = got
-        return got
+        return self.function.transform_value(d)
 
     def transform_window(self, L: int) -> list[Fraction]:
         """[C'(1), ..., C'(L)] by sieving; cheaper than per-d divisors."""
@@ -283,25 +288,7 @@ class CorrelationTable:
                            w.astype(dtype, copy=False)))
         return Fraction(total, den * euler_phi(ell) * L)
 
-    # -- smooth restriction ---------------------------------------------------
-
-    def smooth_restricted(self, ctx: SmoothContext, a: int) -> Fraction:
-        """G(a) = sum over smooth divisors d of a of C'(N, d), exact."""
-        if a < 1:
-            raise ValueError("shift must be >= 1")
-        return sum((self.transform_value(d)
-                    for d in divisors(ctx.smooth_part(a))), Fraction(0))
-
-    def smooth_restricted_switch(self, ctx: SmoothContext, a: int) -> Fraction:
-        """Same value through the smooth/sifted switch:
-        sum of C(N, t) over smooth t | a with a/t sifted."""
-        if a < 1:
-            raise ValueError("shift must be >= 1")
-        total = Fraction(0)
-        for t in divisors(ctx.smooth_part(a)):
-            if ctx.is_sifted(a // t):
-                total += self.value(t)
-        return total
+    # -- smooth Wintner sums ----------------------------------------------
 
     def smooth_wintner(self, ctx: SmoothContext, ell: int, X: int,
                        transform_support: int | None = None) -> BoundedValue:
@@ -313,24 +300,27 @@ class CorrelationTable:
 
         transform_support is a caller-asserted bound beyond which C'
         vanishes; it is audited against every transform value this sum
-        actually computes, and makes the result exact once X covers it.
+        reads, and makes the result exact once X covers it.
         """
         if ell < 1:
             raise ValueError("coefficient index must be >= 1")
         if not ctx.is_smooth(ell):
             return BoundedValue.exact(0)
-        partial = Fraction(0)
         inner = X // ell
-        for K in smooth_up_to(ctx, max(inner, 1)):
-            d = ell * K
-            if d <= X:
-                value = self.transform_value(d)
-                if transform_support is not None and d > transform_support \
-                        and value != 0:
+        partial = Fraction(0)
+        if inner >= 1:
+            def multiples(ts):
+                return ts % ell == 0
+            if transform_support is not None:
+                ts, nums, den = self.function.smooth_vector(ctx, X, False)
+                bad = np.flatnonzero(multiples(ts) & (ts > transform_support)
+                                     & (nums != 0))
+                if len(bad):
+                    i = bad[0]
                     raise ArithmeticError(
                         f"claimed transform support {transform_support} "
-                        f"refuted: C'({d}) = {value}")
-                partial += value / d
+                        f"refuted: C'({ts[i]}) = {Fraction(int(nums[i]), den)}")
+            partial = self.function.smooth_sum(ctx, X, False, multiples)
         if transform_support is not None and transform_support <= X:
             return BoundedValue.exact(partial)
         bound = (2 ** ctx.prime_count) * self.max_abs()

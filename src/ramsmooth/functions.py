@@ -278,6 +278,22 @@ class ArithmeticFunctionSpec:
             given = out
         return ts, given, den
 
+    def smooth_sum(self, ctx: SmoothContext, X: int, direct: bool,
+                   weight) -> Fraction:
+        """Sum over Q-smooth t <= X of x(t) * w(t) / t, with x = F (direct)
+        or F' and weight(ts) the integer weights w at the ascending ts.
+
+        One integer sum of x_t w_t (D/t) over den * D on the smooth vector,
+        D the lcm of the t with a nonzero weight, in Python ints.
+        """
+        ts, nums, den = self.smooth_vector(ctx, X, direct)
+        w = np.asarray(weight(ts))
+        at = np.flatnonzero(w)
+        ts, nums, w = ts[at].tolist(), nums[at].tolist(), w[at].tolist()
+        D = lcm(*ts)
+        return Fraction(sum(x * c * (D // t) for t, x, c in zip(ts, nums, w)),
+                        den * D)
+
     # -- certificate plumbing --------------------------------------------
 
     def require_transform_certificate(self) -> Certificate:
@@ -381,15 +397,18 @@ def _multiples(n0: int, X: int) -> np.ndarray:
     return nums
 
 
-def _table_array(filled: dict[int, Fraction], X: int) -> ExactArray:
-    """filled, which holds the indices 1..top in order, on [0, X], zero
-    past top, each entry over its own denominator."""
-    vals = list(filled.values())[:X]
-    pad = [0] * (X - len(vals))
-    nums = [0] + [v.numerator for v in vals] + pad
-    dens = [1] + [v.denominator for v in vals] + [1] * len(pad)
-    return (np.array(nums, dtype=exact_dtype(max(map(abs, nums)))),
-            np.array(dens, dtype=exact_dtype(max(dens))))
+def _table_array(entries: dict[int, Fraction], X: int) -> ExactArray:
+    """The entries at indices <= X placed on [0, X], zero elsewhere, each
+    over its own denominator."""
+    at = [n for n in entries if n <= X]
+    nums = [entries[n].numerator for n in at]
+    dens = [entries[n].denominator for n in at]
+    num_array = np.zeros(X + 1,
+                         dtype=exact_dtype(max(map(abs, nums), default=0)))
+    den_array = np.ones(X + 1, dtype=exact_dtype(max(dens, default=1)))
+    num_array[at] = nums
+    den_array[at] = dens
+    return num_array, den_array
 
 
 def constant_one() -> ArithmeticFunctionSpec:
@@ -508,34 +527,36 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
                     ) -> ArithmeticFunctionSpec:
     """Spec from a finite table.
 
-    mode "direct": the table is a window of F on [1, max index]; values
-    beyond the window are unavailable.  mode "eratosthenes": the table is
-    the complete transform (finite support at the max index), so F is
-    defined everywhere; without a declared certificate, a direct-side one
-    follows from the triangle inequality.
+    mode "direct": the table is a window of F on [1, max index], where an
+    index it omits reads 0; values beyond the window are unavailable.
+    mode "eratosthenes": the table is the complete transform (finite
+    support at the max index), so F is defined everywhere; without a
+    declared certificate, a direct-side one follows from the triangle
+    inequality.  Either keeps only the given entries, so its cost follows
+    their number, not the max index.
     """
     if not entries:
         raise ValueError("empty function table")
     top = max(entries)
     if min(entries) < 1:
         raise ValueError("table indices start at 1")
-    filled = {n: Fraction(entries.get(n, 0)) for n in range(1, top + 1)}
+    given = {n: Fraction(v) for n, v in entries.items()}
     if mode == "direct":
         return ArithmeticFunctionSpec(
             name,
-            values=lambda n: filled[n],
+            values=lambda n: given.get(n, Fraction(0)),
             value_window=top,
             direct_certificate=certificate,
-            values_array=lambda X: _table_array(filled, X),
+            values_array=lambda X: _table_array(given, X),
         )
     if mode == "eratosthenes":
-        mass = sum(abs(v) for v in filled.values())
+        mass = sum(abs(v) for v in given.values())
         return ArithmeticFunctionSpec(
             name,
-            transform=lambda d: filled.get(d, Fraction(0)),
+            transform=lambda d: given.get(d, Fraction(0)),
             transform_certificate=FiniteSupport(top),
             direct_certificate=certificate or GrowthCertificate(max(mass, 1), 0),
-            transform_array=lambda X: _table_array(filled, X),
+            transform_array=lambda X: _table_array(given, X),
         )
     raise ValueError(f"unknown table mode {mode!r}")
 
@@ -672,11 +693,12 @@ class RangeQFunction:
         return sum((self.gprime[d - 1] for d in range(1, min(self.Q, m) + 1)
                     if m % d == 0), Fraction(0))
 
-    def period_table(self, period: int) -> list[Fraction]:
-        """[g(1), ..., g(period)] by sieving g' over the window."""
+    def period_table(self, period: int) -> tuple[np.ndarray, int]:
+        """(nums, den) with g(m) = nums[m - 1] / den for m in [1, period],
+        by sieving g' over the window on its common denominator."""
         nums, den = common_denominator((0,) + self.gprime)
         out = dirichlet_sieve(nums, np.ones(period + 1, dtype=np.int64), period)
-        return [Fraction(v, den) for v in out[1:].tolist()]
+        return out[1:], den
 
 
 def build_range_q(Q: int, gprime) -> RangeQFunction:
@@ -702,19 +724,28 @@ def build_range_q(Q: int, gprime) -> RangeQFunction:
     return RangeQFunction(Q, tuple(vals), tuple(ghat))
 
 
+def range_q(spec: ArithmeticFunctionSpec, Q: int | None = None,
+            ) -> RangeQFunction:
+    """F as a range-Q function, for a spec whose transform F' has a finite
+    support s: g' = F' on [1, s], and Q = s unless given (then Q >= s)."""
+    support = spec.transform_support
+    if support is None:
+        raise ValueError(f"{spec.name} has no finite transform support")
+    Q = support if Q is None else Q
+    if Q < support:
+        raise ValueError(f"range bound {Q} below the transform support "
+                         f"{support}")
+    return build_range_q(Q, {d: spec.transform_value(d)
+                             for d in range(1, support + 1)})
+
+
 def range_q_constant_one() -> RangeQFunction:
-    return build_range_q(1, [Fraction(1)])
+    return range_q(constant_one())
 
 
 def range_q_ramanujan(q0: int, Q: int | None = None) -> RangeQFunction:
     """c_{q0} as a range-Q function (its transform lives on divisors of q0)."""
-    if q0 < 1:
-        raise ValueError("modulus must be >= 1")
-    Q = q0 if Q is None else Q
-    if Q < q0:
-        raise ValueError("range bound must cover the modulus")
-    return build_range_q(Q, {d: d * mobius(q0 // d)
-                             for d in divisors(q0)})
+    return range_q(ramanujan_modulus(q0), Q)
 
 
 def finite_ramanujan_eval(g: RangeQFunction, m: int) -> Fraction:

@@ -29,15 +29,12 @@ def orthogonality_exact(q: int, ell: int) -> Fraction:
     """
     if q < 1 or ell < 1:
         raise ValueError("orthogonality_exact needs q, ell >= 1")
+    ell_terms = [(lp, ml) for lp in divisors(ell) if (ml := mobius(ell // lp))]
     total = 0
     for qp in divisors(q):
         mq = mobius(q // qp)
-        if mq == 0:
-            continue
-        for lp in divisors(ell):
-            ml = mobius(ell // lp)
-            if ml:
-                total += mq * ml * gcd(lp, qp)
+        if mq:
+            total += mq * sum(ml * gcd(lp, qp) for lp, ml in ell_terms)
     return Fraction(total)
 
 
@@ -107,7 +104,6 @@ def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
                                  target_radius: Fraction,
                                  x_start: int = 10_000,
                                  x_cap: int = 10 ** 16,
-                                 series_cache: dict | None = None,
                                  ) -> tuple[BoundedValue, TailParams]:
     """Smallest doubling cutoff whose certified radius meets the target.
 
@@ -118,18 +114,12 @@ def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
         return tp, ctx.totient_product * q * ell * \
             smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
 
-    tp, X, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
+    tp, _, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
     if not met:
         raise ArithmeticError(
             f"radius target {Fraction(target_radius)} unreachable below "
             f"cutoff cap {x_cap}")
-    if series_cache is not None and X in series_cache:
-        series = series_cache[X]
-    else:
-        series = SmoothSeries(ctx, X)
-        if series_cache is not None:
-            series_cache[X] = series
-    return orthogonality_truncated(ctx, q, ell, tp, series), tp
+    return orthogonality_truncated(ctx, q, ell, tp), tp
 
 
 def absolute_convergence_bound(ctx: SmoothContext, q: int, ell: int,

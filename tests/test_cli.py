@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ramsmooth
-from ramsmooth import GrowthCertificate, RangeQFunction, cli, \
+from ramsmooth import GrowthCertificate, RangeQFunction, cli, functions, \
     parse_function_file
 from ramsmooth.cli import main
 
@@ -257,11 +257,35 @@ class TestExitCodes:
                          encoding="utf-8")
         args = [a.replace("TABLE", str(table)) for a in args]
         monkeypatch.setattr(RangeQFunction, "period_table", refuse)
-        monkeypatch.setattr(cli, "build_range_q", refuse)
-        monkeypatch.setattr(cli, "range_q_ramanujan", refuse)
+        monkeypatch.setattr(functions, "build_range_q", refuse)
+        monkeypatch.setattr(cli, "range_q", refuse)
         assert run(args, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "correlation.csv").exists()
+        assert not (tmp_path / "reef_residual.json").exists()
+
+    @pytest.mark.parametrize("g", ["mu", "indicator:3", "@DIRECT"])
+    @pytest.mark.parametrize("command", ["correlation", "reef-residual"])
+    def test_g_without_finite_support_is_usage_error(self, g, command,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("g or its table built")
+
+        table = tmp_path / "direct.tsv"
+        table.write_text("#mode=direct\n1\t1/1\n2\t-1/2\n",
+                         encoding="utf-8")
+        monkeypatch.setattr(cli, "range_q", refuse)
+        monkeypatch.setattr(cli, "CorrelationTable", refuse)
+        args = [command, "--f", "mu", "--g", g.replace("@DIRECT", f"@{table}"),
+                "--N", "10"]
+        if command == "reef-residual":
+            args += ["--a-max", "3"]
+        assert run(args, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "has no finite transform support" in err
         assert not (tmp_path / "correlation.csv").exists()
         assert not (tmp_path / "reef_residual.json").exists()
 
@@ -410,6 +434,19 @@ class TestCommandsSmoke:
         summary = json.loads(
             (tmp_path / "correlation_summary.json").read_text())
         assert summary["decomposition_max_deviation"] == "0/1"
+
+    def test_constant_one_takes_the_range_bound(self, tmp_path):
+        # constant-one is c_1: with --Q 5 both read g = 1 over period 60
+        for g in ("constant-one", "ramanujan:1"):
+            assert run(["correlation", "--f", "mu", "--g", g, "--Q", "5",
+                        "--N", "10"], tmp_path / g) == 0
+        for name in ("correlation.csv", "correlation_coeffs.csv",
+                     "correlation_summary.json"):
+            assert (tmp_path / "constant-one" / name).read_bytes() == \
+                (tmp_path / "ramanujan:1" / name).read_bytes()
+        summary = json.loads(
+            (tmp_path / "constant-one" / "correlation_summary.json").read_text())
+        assert summary["period"] == 60
 
     def test_correlation_from_file(self, tmp_path):
         table = tmp_path / "g.tsv"

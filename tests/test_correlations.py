@@ -16,11 +16,13 @@ from ramsmooth import (
     euler_phi,
     expansion_tail_term,
     mobius,
+    mobius_switch_rhs,
     point_mass,
     ramanujan_modulus,
     ramanujan_sum,
     range_q_constant_one,
     range_q_ramanujan,
+    smooth_restrict,
     smooth_up_to,
     spec_from_table,
     tail_split_identity,
@@ -220,27 +222,27 @@ class TestSmoothRestriction:
         for V in (2, 3, 5):
             ctx = SmoothContext(V)
             for a in range(1, 80):
-                assert table.smooth_restricted(ctx, a) == \
-                    table.smooth_restricted_switch(ctx, a)
+                assert smooth_restrict(table.function, ctx, a) == \
+                    mobius_switch_rhs(table.function, ctx, a)
 
     def test_first_value_is_transform_at_one(self):
         table = make_random_table(random.Random(9), 3)
         ctx = SmoothContext(3)
-        assert table.smooth_restricted(ctx, 1) == table.transform_value(1)
+        assert smooth_restrict(table.function, ctx, 1) == table.transform_value(1)
 
     def test_transparent_on_smooth_shifts(self):
         table = CorrelationTable(point_mass(2), range_q_ramanujan(3, 6), 12)
         ctx = SmoothContext(5)
         for a in smooth_up_to(ctx, 60):
-            assert table.smooth_restricted(ctx, a) == table.value(a)
+            assert smooth_restrict(table.function, ctx, a) == table.value(a)
 
     def test_sifted_prime_invariance(self):
         table = CorrelationTable(point_mass(2), range_q_ramanujan(3, 6), 12)
         ctx = SmoothContext(3)
         for a in range(1, 40):
-            base = table.smooth_restricted(ctx, a)
+            base = smooth_restrict(table.function, ctx, a)
             for p in (5, 7, 11):
-                assert table.smooth_restricted(ctx, a * p) == base
+                assert smooth_restrict(table.function, ctx, a * p) == base
 
     def test_smooth_expansion_certified(self):
         # the restricted correlation satisfies its expansion within radii
@@ -263,7 +265,7 @@ class TestSmoothRestriction:
             tp = best_tail_params(ctx, Fraction(0), L)
             total_radius += a * bound * smooth_tail_bound(
                 ctx, Fraction(0), tp.delta, L)
-            reference = table.smooth_restricted(ctx, a)
+            reference = smooth_restrict(table.function, ctx, a)
             assert abs(reference - total_center) <= total_radius
 
 
@@ -290,6 +292,46 @@ class TestSmoothWintner:
         with pytest.raises(ArithmeticError):
             table.smooth_wintner(SmoothContext(5), 1, 1 << 10,
                                  transform_support=1)
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_per_index_oracle(self, seed):
+        # sum over smooth d <= X with ell | d of C'(d)/d, one transform
+        # value at a time, against the one smooth sum
+        table = make_random_table(random.Random(seed), seed, max_N=30,
+                                  q_choices=(2, 3, 4, 5, 6))
+        for V, ell, X in ((2, 1, 1 << 10), (3, 2, 500), (3, 6, 5000),
+                          (5, 4, 1 << 12), (5, 15, 300), (5, 7, 300),
+                          (3, 9, 5)):
+            ctx = SmoothContext(V)
+            got = table.smooth_wintner(ctx, ell, X)
+            oracle = sum((table.function.transform_value(d) / d
+                          for d in smooth_up_to(ctx, X) if d % ell == 0),
+                         Fraction(0)) if ctx.is_smooth(ell) else 0
+            assert got.center == oracle
+
+    @pytest.mark.parametrize("seed, Qs, V, ell, support, message", [
+        (None, None, 5, 1, 1, "claimed transform support 1 refuted: "
+                              "C'(3) = 18"),
+        (None, None, 3, 1, 2, "claimed transform support 2 refuted: "
+                              "C'(3) = 18"),
+        (7, (4, 6), 3, 2, 4, "claimed transform support 4 refuted: "
+                             "C'(6) = -73/18"),
+        (7, (4, 6), 5, 3, 5, "claimed transform support 5 refuted: "
+                             "C'(6) = -73/18"),
+    ])
+    def test_support_refutation_names_first_index(self, seed, Qs, V, ell,
+                                                  support, message):
+        # the first smooth multiple of ell past the claim with C' != 0
+        if seed is None:
+            table = CorrelationTable(ramanujan_modulus(3),
+                                     range_q_ramanujan(3, 3), 6)
+        else:
+            table = make_random_table(random.Random(seed), 0, max_N=30,
+                                      q_choices=Qs)
+        with pytest.raises(ArithmeticError) as err:
+            table.smooth_wintner(SmoothContext(V), ell, 1 << 12,
+                                 transform_support=support)
+        assert str(err.value) == message
 
 
 class TestFullSeriesEstimate:

@@ -27,6 +27,7 @@ from ramsmooth import (
     point_mass,
     ramanujan_modulus,
     ramanujan_sum,
+    range_q,
     range_q_ramanujan,
     smooth_restrict,
     spec_from_table,
@@ -398,10 +399,28 @@ class TestRangeQ:
         with pytest.raises(ValueError):
             build_range_q(3, {5: 1})
 
+    def test_range_q_of_a_finite_support_spec(self):
+        # g' = F' on the support, so g = F; Q defaults to the support
+        erat = spec_from_table("e", "eratosthenes",
+                               {1: Fraction(1, 2), 4: -3, 6: Fraction(5, 7)})
+        for spec, Q in ((erat, None), (erat, 9), (constant_one(), 5),
+                        (ramanujan_modulus(6), None), (ramanujan_modulus(6), 8)):
+            g = range_q(spec, Q)
+            assert g.Q == (Q or spec.transform_support)
+            assert [g(m) for m in range(1, 80)] == \
+                [spec.evaluate(m) for m in range(1, 80)]
+        assert range_q(constant_one(), 5) == range_q_ramanujan(1, 5)
+        for spec in (mobius_spec(), point_mass(3)):
+            with pytest.raises(ValueError, match="no finite transform"):
+                range_q(spec)
+        with pytest.raises(ValueError, match="below the transform support"):
+            range_q(erat, 5)
+
     def test_period_table_matches_pointwise(self):
         g = range_q_ramanujan(4, 6)
         for period in (60, 4):
-            table = g.period_table(period)
+            nums, den = g.period_table(period)
+            table = [Fraction(v, den) for v in nums.tolist()]
             assert len(table) == period
             for m in range(1, period + 1):
                 assert table[m - 1] == g(m)
@@ -422,7 +441,8 @@ class TestRangeQ:
         Q = 20
         g = build_range_q(Q, [Fraction(rng.randint(-8, 8), rng.randint(1, 6))
                               for _ in range(Q)])
-        table = g.period_table(1000)
+        nums, den = g.period_table(1000)
+        table = [Fraction(v, den) for v in nums.tolist()]
         for m in range(1, 1001):
             assert finite_ramanujan_eval(g, m) == table[m - 1]
 

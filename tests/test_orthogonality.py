@@ -1,5 +1,7 @@
 """Smooth-twisted orthogonality: exact evaluator vs certified series."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,8 @@ from ramsmooth import (
     ramanujan_sum,
     smooth_up_to,
 )
+from ramsmooth import arith
+from ramsmooth.cli import main
 from ramsmooth.smooth import TailParams
 
 
@@ -36,6 +40,22 @@ class TestExactEvaluator:
         for q in range(1, 31):
             for ell in range(1, 31):
                 assert orthogonality_exact(q, ell) == expected(q, ell)
+
+    def test_factorize_count(self, tmp_path, monkeypatch):
+        """`orthogonality --Q 7 --max 30` factorizes at most 6,000
+        integers (it makes 4,994): each cell takes the Mobius values on
+        the divisors of ell once, not once per divisor of q (10,305)."""
+        calls = []
+        real = arith.factorize
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+        monkeypatch.setattr(arith, "factorize", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["orthogonality", "--Q", "7", "--max", "30",
+                         "--out", str(tmp_path)]) == 0
+        assert len(calls) <= 6_000
 
     def test_symmetric_on_grid(self):
         for q in range(1, 25):

@@ -5,7 +5,12 @@ they replace, kept here as oracles."""
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +168,23 @@ class TestWindows:
         for q in range(1, 40):
             assert ramanujan_sums(q, range(2 * q)).tolist() == \
                 [ramanujan_sum(q, r) for r in range(2 * q)]
+
+    def test_sparse_table_keeps_its_entries(self):
+        # an index a direct table omits reads 0 inside its window; the
+        # array form places the given entries; the mass sums them
+        direct = spec_from_table("d", "direct", {2: Fraction(1, 3), 9: 4})
+        assert [direct.evaluate(n) for n in (1, 2, 5, 9)] == \
+            [0, Fraction(1, 3), 0, 4]
+        with pytest.raises(IndexError):
+            direct.evaluate(10)
+        nums, dens = direct._values_array(12)
+        assert nums.tolist() == [0, 0, 1] + [0] * 6 + [4, 0, 0, 0]
+        assert dens.tolist() == [1, 1, 3] + [1] * 10
+        erat = spec_from_table("e", "eratosthenes",
+                               {1: 1, 300_000: Fraction(-5, 2)})
+        assert erat.direct_certificate == GrowthCertificate(Fraction(7, 2), 0)
+        assert erat.transform_value(300_000) == Fraction(-5, 2)
+        assert erat.transform_value(299_999) == 0
 
     def test_table_array_past_int64(self):
         # numerators past int64 stay exact Python ints in the array and
@@ -389,3 +411,47 @@ def test_audit_cost_is_free_of_the_catalog_parameter(identifier, tmp_path,
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["coeffs", "--function", identifier, "--V", "3",
                      "--out", str(tmp_path)]) == 0
+
+
+# A child that loads a table with tracemalloc on, then runs coeffs and expand
+# on it; it prints the load's peak traced bytes and the two exit codes.
+_LOAD_AND_RUN = r"""
+import contextlib, io, sys, tracemalloc
+from ramsmooth.cli import main
+from ramsmooth.functions import parse_function_file
+path, out = sys.argv[1:]
+tracemalloc.start()
+parse_function_file(path)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*argv, "--out", out]) for argv in (
+        ["coeffs", "--function", "@" + path, "--V", "3", "--ell-max", "3"],
+        ["expand", "--function", "@" + path, "--V", "3", "--a", "1", "6",
+         "--L", "16"])]
+print(peak, *codes)
+"""
+
+
+def test_table_cost_is_free_of_its_largest_index(tmp_path):
+    """An eratosthenes table with entries at 1 and 10**8 loads in under
+    1 MB of traced memory, and coeffs and expand exit 0 on it.  The child
+    runs under a 1 GB address-space cap: a table filled out to its largest
+    index would need tens of GB, and the cap makes that fail here rather
+    than exhaust the machine."""
+    path = tmp_path / "sparse.tsv"
+    path.write_text("#mode=eratosthenes\n1\t1/1\n100000000\t1/2\n",
+                    encoding="utf-8")
+    cap = 1 << 30
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(src), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_AND_RUN, str(path), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert child.returncode == 0, child.stderr
+    peak, coeffs_code, expand_code = map(int, child.stdout.split())
+    assert peak < 1 << 20
+    assert coeffs_code == expand_code == 0
