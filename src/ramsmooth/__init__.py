@@ -85,6 +85,7 @@ from .orthogonality import (
     orthogonality_truncated_auto,
     pair_series_exact,
     pair_series_partial,
+    tail_radius,
 )
 from .reef import (
     ReefInstance,
@@ -102,7 +103,6 @@ from .reef import (
 from .smooth import (
     SmoothContext,
     SmoothSeries,
-    TailParams,
     best_tail_params,
     euler_product_upper,
     refine_cutoff,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,12 @@ from .functions import ArithmeticFunctionSpec, CertificateError, FiniteSupport, 
     GrowthCertificate, smooth_restrict
 from .intervals import BoundedValue, interval_sum
 from .orthogonality import pair_series_exact
-from .smooth import SmoothContext, TailParams, best_tail_params, \
-    euler_product_upper, refine_cutoff, smooth_tail_bound, smooth_up_to
+from .smooth import SmoothContext, best_tail_params, euler_product_upper, \
+    refine_cutoff, smooth_tail_bound, smooth_up_to
+
+# Default cutoff X of the truncated coefficient sums: terms up to X are
+# summed exactly, the smooth tail beyond X is bounded by Rankin's trick.
+DEFAULT_CUTOFF = 10_000
 
 
 class PeriodicityError(ValueError):
@@ -38,13 +42,14 @@ class PeriodicityError(ValueError):
 
 
 def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                       ell: int, tp: Optional[TailParams] = None) -> BoundedValue:
+                       ell: int, X: int = DEFAULT_CUTOFF) -> BoundedValue:
     """Wintner coefficient of the V-smooth restriction at index ell.
 
     Exactly 0 off the smooth support, exact for finite-support transforms,
     otherwise a certified interval: partial sum over smooth d = ell*K up
-    to the cutoff plus a Rankin tail radius scaled by the transform's
-    growth certificate.
+    to the cutoff X plus a Rankin tail radius scaled by the transform's
+    growth certificate.  The Rankin shift is the best one at X, although
+    the tail is taken beyond X // ell.
     """
     if ell < 1:
         raise ValueError("coefficient index must be >= 1")
@@ -59,14 +64,12 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     cert = spec.require_transform_certificate()
     if not isinstance(cert, GrowthCertificate):
         raise CertificateError(f"{spec.name}: unsupported certificate {cert!r}")
-    if tp is None:
-        tp = best_tail_params(ctx, cert.exponent, 10_000)
-    X = tp.truncation
+    delta, _ = best_tail_params(ctx, cert.exponent, X)
     partial = Fraction(0)
     inner = X // ell
     if inner >= 1:
         partial = spec.smooth_sum(ctx, X, False, lambda ts: ts % ell == 0)
-        tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, inner)
+        tail = smooth_tail_bound(ctx, cert.exponent, delta, inner)
     else:
         tail = euler_product_upper(ctx, cert.exponent - 1)
     radius = cert.bound * pow_upper(ell, cert.exponent - 1) * tail
@@ -79,16 +82,10 @@ def wintner_to_target(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
                       ) -> BoundedValue:
     """Double the cutoff until the certified radius meets the target.
 
-    Tail parameters use the spec's certified growth exponent (0 without
-    one).  Fails loudly at the cap; rigor is never traded for termination.
+    Fails loudly at the cap; rigor is never traded for termination.
     """
-    cert = spec.transform_certificate
-    epsilon = cert.exponent if isinstance(cert, GrowthCertificate) \
-        else Fraction(0)
-
     def evaluate(X):
-        got = wintner_restricted(spec, ctx, ell,
-                                 best_tail_params(ctx, epsilon, X))
+        got = wintner_restricted(spec, ctx, ell, X)
         return got, got.radius
 
     got, _, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
@@ -100,12 +97,12 @@ def wintner_to_target(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
 
 
 def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                       ell: int, tp: Optional[TailParams] = None) -> BoundedValue:
+                       ell: int, X: int = DEFAULT_CUTOFF) -> BoundedValue:
     """Product-formula Carmichael coefficient for smooth ell.
 
     totient_product * (1/phi(ell)) * sum over smooth t of F(t) c_ell(t)/t,
     evaluated exactly when F is a catalog Ramanujan sum (Euler products)
-    or has finite direct support, else truncated with radius
+    or has finite direct support, else truncated at X with radius
     totient_product * ell * C * tail / phi(ell) from |c_ell(t)| <= ell.
     """
     if ell < 1:
@@ -129,10 +126,8 @@ def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
         total = spec.smooth_sum(ctx, direct.bound, True, c_ell)
         return BoundedValue.exact(ctx.totient_product * total / phi)
     cert = spec.require_direct_certificate()
-    if tp is None:
-        tp = best_tail_params(ctx, cert.exponent, 10_000)
-    partial = spec.smooth_sum(ctx, tp.truncation, True, c_ell)
-    tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, tp.truncation)
+    _, tail = best_tail_params(ctx, cert.exponent, X)
+    partial = spec.smooth_sum(ctx, X, True, c_ell)
     center = ctx.totient_product * partial / phi
     radius = ctx.totient_product * ell * cert.bound * tail / phi
     return BoundedValue(center, radius)
@@ -217,13 +212,13 @@ class ExpansionPartial:
 
 def expansion_partial(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
                       a: int, L: int,
-                      tp: Optional[TailParams] = None) -> ExpansionPartial:
+                      X: int = DEFAULT_CUTOFF) -> ExpansionPartial:
     """Pointwise expansion of the restriction over Ramanujan sums.
 
-    Sums Win_ell * c_ell(a) over smooth ell <= L with interval
-    propagation; index_tail certifies the mass of the skipped ell > L.
-    Exact (all radii and tails zero) once L covers a finite transform
-    support.
+    Sums Win_ell * c_ell(a) over smooth ell <= L, each Win_ell truncated
+    at X, with interval propagation; index_tail certifies the mass of the
+    skipped ell > L.  Exact (all radii and tails zero) once L covers a
+    finite transform support.
     """
     if a < 1:
         raise ValueError("expansion point must be >= 1")
@@ -231,7 +226,7 @@ def expansion_partial(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
         raise ValueError("coefficient cutoff must be >= 1")
     pieces = []
     for ell in smooth_up_to(ctx, L):
-        win = wintner_restricted(spec, ctx, ell, tp)
+        win = wintner_restricted(spec, ctx, ell, X)
         pieces.append(win.scale(ramanujan_sum(ell, a)))
     partial = interval_sum(pieces)
     index_tail = _index_tail(spec, ctx, a, L)
@@ -256,10 +251,9 @@ def _index_tail(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
                 total += abs(win.center) * min(a, ell)
         return total
     cert = spec.require_transform_certificate()
-    tp = best_tail_params(ctx, cert.exponent, L)
+    _, tail = best_tail_params(ctx, cert.exponent, L)
     series_mass = euler_product_upper(ctx, cert.exponent - 1)
-    return a * cert.bound * series_mass * smooth_tail_bound(
-        ctx, cert.exponent, tp.delta, L)
+    return a * cert.bound * series_mass * tail
 
 
 @dataclass(frozen=True)
@@ -279,14 +273,15 @@ class CoefficientRecord:
 
 
 def coefficient_record(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                       ell: int, tp: Optional[TailParams] = None,
+                       ell: int, X: int = DEFAULT_CUTOFF,
                        empirical_xs: Sequence[int] = ()) -> CoefficientRecord:
-    """Build the record; off the smooth support both sides are exactly 0."""
+    """Build the record at cutoff X; off the smooth support both sides are
+    exactly 0.  Each side takes its tail exponent from its own certificate."""
     if not ctx.is_smooth(ell):
         zero = BoundedValue.exact(0)
         return CoefficientRecord(ell, zero, zero, "off-smooth-support")
-    win = wintner_restricted(spec, ctx, ell, tp)
-    car = carmichael_formula(spec, ctx, ell, tp)
+    win = wintner_restricted(spec, ctx, ell, X)
+    car = carmichael_formula(spec, ctx, ell, X)
     method = "exact" if win.is_exact and car.is_exact else "truncated"
     empirical = tuple(carmichael_empirical(spec, ell, empirical_xs)) \
         if empirical_xs else ()
@@ -322,11 +317,9 @@ def weighted_decay_check(records: Sequence[CoefficientRecord],
     cert = spec.require_transform_certificate()
     if not isinstance(cert, GrowthCertificate):
         raise CertificateError(f"{spec.name}: unsupported certificate {cert!r}")
-    tp = best_tail_params(ctx, cert.exponent, L)
-    tail = (2 ** ctx.prime_count) * cert.bound * \
-        smooth_tail_bound(ctx, cert.exponent, tp.delta, L) * \
+    _, tail = best_tail_params(ctx, cert.exponent, L)
+    return partial, (2 ** ctx.prime_count) * cert.bound * tail * \
         euler_product_upper(ctx, cert.exponent - 1)
-    return partial, tail
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from .coefficients import carmichael_periodic_mean
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
 from .intervals import BoundedValue, interval_sum
-from .smooth import SmoothContext, best_tail_params, smooth_tail_bound, \
-    smooth_up_to
+from .smooth import SmoothContext, best_tail_params, smooth_up_to
 
 _FIXED_POINT_BITS = 48
 
@@ -325,8 +324,7 @@ class CorrelationTable:
             return BoundedValue.exact(partial)
         bound = (2 ** ctx.prime_count) * self.max_abs()
         if inner >= 1:
-            tp = best_tail_params(ctx, Fraction(0), inner)
-            tail = smooth_tail_bound(ctx, Fraction(0), tp.delta, inner)
+            _, tail = best_tail_params(ctx, Fraction(0), inner)
         else:
             tail = ctx.smooth_harmonic
         return BoundedValue(partial, bound * tail / ell)
@@ -514,7 +512,7 @@ def expansion_tail_term(table: CorrelationTable, ctx: SmoothContext, a: int,
         index_tail = Fraction(0)
     else:
         bound = (2 ** ctx.prime_count) * table.max_abs() * ctx.smooth_harmonic
-        tp = best_tail_params(ctx, Fraction(0), L)
-        index_tail = a * bound * smooth_tail_bound(ctx, Fraction(0), tp.delta, L)
+        _, tail = best_tail_params(ctx, Fraction(0), L)
+        index_tail = a * bound * tail
     return ExpansionTailTerm(V=ctx.Q, a=a, cutoff=L,
                              value=total.widen(index_tail))

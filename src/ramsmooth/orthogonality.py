@@ -17,8 +17,8 @@ from math import gcd
 
 from .arith import divisors, euler_phi, mobius, ramanujan_sum
 from .intervals import BoundedValue
-from .smooth import SmoothContext, SmoothSeries, TailParams, best_tail_params, \
-    refine_cutoff, smooth_tail_bound
+from .smooth import SmoothContext, SmoothSeries, best_tail_params, \
+    refine_cutoff, smooth_up_to
 
 
 def orthogonality_exact(q: int, ell: int) -> Fraction:
@@ -80,23 +80,29 @@ def pair_series_partial(series: SmoothSeries, q: int, ell: int,
                 for c, l in _divisor_pairs(series.ctx, q, ell)), Fraction(0))
 
 
-def orthogonality_truncated(ctx: SmoothContext, q: int, ell: int,
-                            tp: TailParams,
+def tail_radius(ctx: SmoothContext, q: int, ell: int,
+                X: int) -> tuple[Fraction, Fraction]:
+    """(radius, delta): the certified bound on the normalized series beyond
+    cutoff X, totient_product * q * ell times the best Rankin tail (from
+    |c_q(t) c_l(t)| <= q * l), and the shift delta of that tail."""
+    delta, tail = best_tail_params(ctx, Fraction(0), X)
+    return ctx.totient_product * q * ell * tail, delta
+
+
+def orthogonality_truncated(ctx: SmoothContext, q: int, ell: int, X: int,
                             series: SmoothSeries | None = None) -> BoundedValue:
     """Certified truncation of the normalized orthogonality series.
 
-    Center: totient_product times the exact partial sum up to tp.truncation.
-    Radius: totient_product * q * ell * (Rankin tail bound), from the
-    inequality |c_q(t) c_l(t)| <= q * l.  The interval always contains the
-    exact value phi(ell) * [q == ell].
+    Center: totient_product times the exact partial sum up to X.
+    Radius: tail_radius at X.  The interval always contains the exact
+    value phi(ell) * [q == ell].
     """
     if not (ctx.is_smooth(q) and ctx.is_smooth(ell)):
         raise ValueError("orthogonality series needs q and ell smooth")
     if series is None:
-        series = SmoothSeries(ctx, tp.truncation)
-    partial = pair_series_partial(series, q, ell, tp.truncation)
-    radius = ctx.totient_product * q * ell * \
-        smooth_tail_bound(ctx, tp.epsilon, tp.delta, tp.truncation)
+        series = SmoothSeries(ctx, X)
+    partial = pair_series_partial(series, q, ell, X)
+    radius, _ = tail_radius(ctx, q, ell, X)
     return BoundedValue(ctx.totient_product * partial, radius)
 
 
@@ -104,40 +110,36 @@ def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
                                  target_radius: Fraction,
                                  x_start: int = 10_000,
                                  x_cap: int = 10 ** 16,
-                                 ) -> tuple[BoundedValue, TailParams]:
-    """Smallest doubling cutoff whose certified radius meets the target.
+                                 ) -> tuple[BoundedValue, int]:
+    """(value, X) at the smallest doubling cutoff X whose certified radius
+    meets the target.
 
     Raises ArithmeticError at the cap instead of silently losing rigor.
     """
     def evaluate(X):
-        tp = best_tail_params(ctx, Fraction(0), X)
-        return tp, ctx.totient_product * q * ell * \
-            smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
+        return None, tail_radius(ctx, q, ell, X)[0]
 
-    tp, _, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
+    _, X, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
     if not met:
         raise ArithmeticError(
             f"radius target {Fraction(target_radius)} unreachable below "
             f"cutoff cap {x_cap}")
-    return orthogonality_truncated(ctx, q, ell, tp), tp
+    return orthogonality_truncated(ctx, q, ell, X), X
 
 
 def absolute_convergence_bound(ctx: SmoothContext, q: int, ell: int,
-                               tp: TailParams) -> BoundedValue:
+                               X: int) -> BoundedValue:
     """Certified bracket of sum over smooth t of |c_q(t) c_l(t)| / t.
 
-    Partial sum of absolute values plus a q*l Rankin tail; the finite
-    upper end exhibits absolute convergence.
+    Partial sum of absolute values up to X plus a q*l Rankin tail; the
+    finite upper end exhibits absolute convergence.
     """
     if not (ctx.is_smooth(q) and ctx.is_smooth(ell)):
         raise ValueError("absolute convergence bound needs q and ell smooth")
-    from .smooth import smooth_up_to
-
     partial = Fraction(0)
-    for t in smooth_up_to(ctx, tp.truncation):
+    for t in smooth_up_to(ctx, X):
         partial += Fraction(abs(ramanujan_sum(q, t) * ramanujan_sum(ell, t)), t)
-    tail = q * ell * smooth_tail_bound(ctx, tp.epsilon, tp.delta,
-                                       tp.truncation)
+    tail = q * ell * best_tail_params(ctx, Fraction(0), X)[1]
     return BoundedValue(partial + tail / 2, tail / 2)
 
 
@@ -157,14 +159,13 @@ class OrthogonalityResult:
             self.truncated.contains(self.expected)
 
 
-def orthogonality_result(ctx: SmoothContext, q: int, ell: int,
-                         tp: TailParams,
+def orthogonality_result(ctx: SmoothContext, q: int, ell: int, X: int,
                          series: SmoothSeries | None = None) -> OrthogonalityResult:
     expected = Fraction(euler_phi(ell)) if q == ell else Fraction(0)
     return OrthogonalityResult(
         q=q,
         ell=ell,
         exact_value=orthogonality_exact(q, ell),
-        truncated=orthogonality_truncated(ctx, q, ell, tp, series),
+        truncated=orthogonality_truncated(ctx, q, ell, X, series),
         expected=expected,
     )

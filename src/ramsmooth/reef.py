@@ -20,8 +20,8 @@ from .functions import ArithmeticFunctionSpec, RangeQFunction, point_mass, \
     range_q_ramanujan
 from .correlations import CorrelationTable
 from .intervals import BoundedValue
-from .smooth import SmoothContext, SmoothSeries, best_tail_params, \
-    refine_cutoff, smooth_tail_bound, smooth_up_to
+from .orthogonality import tail_radius
+from .smooth import SmoothContext, SmoothSeries, refine_cutoff, smooth_up_to
 
 
 @dataclass(frozen=True)
@@ -117,27 +117,13 @@ class ShiftedOrthogonalityPoint:
     def violated(self) -> bool:
         return self.value.excludes(self.claimed)
 
-    @property
-    def decided(self) -> bool:
-        return self.violated or self.value.contains(self.claimed)
-
-
-def _tail_radius(ctx: SmoothContext, q: int, ell: int,
-                 X: int) -> tuple[Fraction, Fraction]:
-    """(radius, delta): the certified bound on the series beyond cutoff X,
-    q l totient_product times the best Rankin tail, and its shift delta."""
-    tp = best_tail_params(ctx, Fraction(0), X)
-    radius = ctx.totient_product * q * ell * \
-        smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
-    return radius, tp.delta
-
 
 def _certified_point(ctx: SmoothContext, q: int, ell: int, n: int, X: int,
                      numerator: int, denom: int,
                      tail: tuple[Fraction, Fraction],
                      ) -> ShiftedOrthogonalityPoint:
     """The point whose sum up to X is numerator / denom, with the
-    _tail_radius pair of (q, ell, X) and the claimed collapse
+    tail_radius pair of (q, ell, X) and the claimed collapse
     [q == ell] c_l(n)."""
     radius, delta = tail
     claimed = Fraction(ramanujan_sum(ell, n)) if q == ell else Fraction(0)
@@ -172,7 +158,7 @@ def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
             break
         num += cq[(n + t) % q] * cl[t % ell] * (denom // t)
     return _certified_point(ctx, q, ell, n, X, num, denom,
-                            _tail_radius(ctx, q, ell, X))
+                            tail_radius(ctx, q, ell, X))
 
 
 @dataclass(frozen=True)
@@ -218,7 +204,7 @@ def find_shifted_orthogonality_violations(
         sums = [0] * q
         for t in series.values:
             sums[t % q] += cl[t % ell] * (denom // t)
-        return sums, denom, _tail_radius(ctx, q, ell, X)
+        return sums, denom, tail_radius(ctx, q, ell, X)
 
     checked = 0
     for q in indices:

@@ -168,32 +168,6 @@ def euler_product_upper(ctx: SmoothContext, s: Fraction) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class TailParams:
-    """Knobs for Rankin-style tail bounds of smooth series sum t**(eps-1).
-
-    epsilon is the growth exponent of the summed function (0 allowed: the
-    plain smooth harmonic series), delta the Rankin shift, truncation the
-    cutoff X below which terms are summed exactly.
-    """
-
-    epsilon: Fraction
-    delta: Fraction
-    truncation: int
-
-    def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        dlt = Fraction(self.delta)
-        object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "delta", dlt)
-        if not 0 <= eps < 1:
-            raise ValueError("epsilon must lie in [0, 1)")
-        if not 0 < dlt < 1 - eps:
-            raise ValueError("delta must lie in (0, 1 - epsilon)")
-        if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
-
-
 def smooth_tail_bound(ctx: SmoothContext, epsilon: Fraction, delta: Fraction,
                       X: int) -> Fraction:
     """Certified B >= sum over Q-smooth t > X of t**(epsilon-1).
@@ -201,8 +175,7 @@ def smooth_tail_bound(ctx: SmoothContext, epsilon: Fraction, delta: Fraction,
     Rankin's trick: each tail term t**(eps-1) <= (t/X)**delta * t**(eps-1),
     so the tail is at most X**(-delta) times the full smooth series with
     exponent eps+delta-1, an Euler product.  All irrational powers are
-    replaced by certified rational upper bounds.  For TailParams tp the
-    bound is smooth_tail_bound(ctx, tp.epsilon, tp.delta, tp.truncation).
+    replaced by certified rational upper bounds.
     """
     if X < 1:
         raise ValueError("tail bound needs X >= 1")
@@ -222,26 +195,25 @@ def smooth_tail_bound(ctx: SmoothContext, epsilon: Fraction, delta: Fraction,
 _DELTA_GRID = tuple(Fraction(k, 16) for k in range(1, 16))
 
 
-def best_tail_params(ctx: SmoothContext, epsilon: Fraction, X: int) -> TailParams:
-    """TailParams with the grid delta in {1/16, ..., 15/16} minimizing the
-    Rankin bound at truncation X."""
+def best_tail_params(ctx: SmoothContext, epsilon: Fraction,
+                     X: int) -> tuple[Fraction, Fraction]:
+    """(delta, bound): the grid delta in {1/16, ..., 15/16} minimizing the
+    Rankin bound on the smooth tail beyond X, and that bound."""
     epsilon = Fraction(epsilon)
     key = ("best", epsilon, X)
-    params = ctx._tail_memo.get(key)
-    if params is not None:
-        return params
-    best = None
-    best_bound = None
+    best = ctx._tail_memo.get(key)
+    if best is not None:
+        return best
     for d in _DELTA_GRID:
         if epsilon + d >= 1:
             break
         b = smooth_tail_bound(ctx, epsilon, d, X)
-        if best_bound is None or b < best_bound:
-            best, best_bound = d, b
+        if best is None or b < best[1]:
+            best = (d, b)
     if best is None:
         raise ValueError("no admissible delta: epsilon too close to 1")
-    params = ctx._tail_memo[key] = TailParams(epsilon, best, X)
-    return params
+    ctx._tail_memo[key] = best
+    return best
 
 
 def refine_cutoff(evaluate, target, x_start: int, x_cap: int):

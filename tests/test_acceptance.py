@@ -53,9 +53,9 @@ def test_criterion_2_orthogonality():
         # radius for the worst pair meets the criterion target
         X = 10_000
         while True:
-            tp = best_tail_params(ctx, Fraction(0), X)
+            delta, _ = best_tail_params(ctx, Fraction(0), X)
             if ctx.totient_product * worst * \
-                    rs.smooth_tail_bound(ctx, tp.epsilon, tp.delta, X) < target:
+                    rs.smooth_tail_bound(ctx, Fraction(0), delta, X) < target:
                 break
             X *= 2
         series = rs.SmoothSeries(ctx, X)
@@ -66,7 +66,7 @@ def test_criterion_2_orthogonality():
                 expected = Fraction(rs.euler_phi(ell)) if q == ell \
                     else Fraction(0)
                 assert rs.orthogonality_exact(q, ell) == expected
-                got = rs.orthogonality_truncated(ctx, q, ell, tp, series)
+                got = rs.orthogonality_truncated(ctx, q, ell, X, series)
                 assert got.radius < target, (Q, q, ell)
                 assert got.contains(expected), (Q, q, ell)
 

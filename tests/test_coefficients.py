@@ -26,11 +26,11 @@ from ramsmooth import (
     ramanujan_sum,
     smooth_restrict,
     smooth_up_to,
+    spec_from_table,
     weighted_decay_check,
     wintner_restricted,
     wintner_to_target,
 )
-from ramsmooth.smooth import best_tail_params
 
 
 class TestWintner:
@@ -63,10 +63,9 @@ class TestWintner:
         # mu(2)/2 = -1/2 at ell = 2 (higher powers of 2 have mu = 0)
         ctx = SmoothContext(2)
         spec = point_mass(1)
-        tp = best_tail_params(ctx, Fraction(0), 1 << 12)
         for ell, expected in ((1, Fraction(1, 2)), (2, Fraction(-1, 2)),
                               (4, Fraction(0))):
-            got = wintner_restricted(spec, ctx, ell, tp)
+            got = wintner_restricted(spec, ctx, ell, 1 << 12)
             assert got.contains(expected), (ell, got)
             assert not got.is_exact
 
@@ -93,10 +92,8 @@ class TestWintner:
         # recomputing with a larger cutoff lands inside the earlier interval
         ctx = SmoothContext(3)
         spec = point_mass(2)
-        coarse = wintner_restricted(spec, ctx, 2,
-                                    best_tail_params(ctx, Fraction(0), 100))
-        fine = wintner_restricted(spec, ctx, 2,
-                                  best_tail_params(ctx, Fraction(0), 100_000))
+        coarse = wintner_restricted(spec, ctx, 2, 100)
+        fine = wintner_restricted(spec, ctx, 2, 100_000)
         assert coarse.contains(fine.center)
         assert fine.radius < coarse.radius
 
@@ -208,8 +205,7 @@ class TestExpansionPartial:
         ctx = SmoothContext(2)
         spec = point_mass(2)
         for a in (1, 2, 4, 6):
-            rep = expansion_partial(spec, ctx, a, 64,
-                                    best_tail_params(ctx, Fraction(0), 1 << 14))
+            rep = expansion_partial(spec, ctx, a, 64, 1 << 14)
             assert rep.consistent
 
     def test_residual_bound_shrinks_on_doubling(self):
@@ -217,8 +213,7 @@ class TestExpansionPartial:
         spec = point_mass(2)
         bounds = []
         for L, X in ((16, 1 << 10), (32, 1 << 12), (64, 1 << 14)):
-            rep = expansion_partial(spec, ctx, 4, L,
-                                    best_tail_params(ctx, Fraction(0), X))
+            rep = expansion_partial(spec, ctx, 4, L, X)
             bounds.append(rep.residual_bound)
         assert bounds[0] > bounds[1] > bounds[2]
 
@@ -288,6 +283,21 @@ class TestCoefficientRecord:
         rec = coefficient_record(ramanujan_modulus(3), SmoothContext(2), 3)
         assert rec.method == "off-smooth-support"
         assert rec.wintner.center == 0 and rec.carmichael.center == 0
+
+    def test_each_side_reads_its_own_certificate(self):
+        # the transform has finite support (an exact Wintner side) while the
+        # direct side carries |F(n)| <= 3 n^(1/2): its tail takes eps = 1/2
+        spec = spec_from_table("eratosthenes", "eratosthenes",
+                               {1: Fraction(1), 3: Fraction(-2, 5)},
+                               GrowthCertificate(3, Fraction(1, 2)))
+        spec.audit()
+        ctx = SmoothContext(3)
+        for X in (100, 10_000):
+            for ell in smooth_up_to(ctx, 13):
+                rec = coefficient_record(spec, ctx, ell, X)
+                assert rec.wintner == wintner_restricted(spec, ctx, ell, X)
+                assert rec.carmichael == carmichael_formula(spec, ctx, ell, X)
+                assert rec.consistent, (X, ell)
 
     def test_consistency_on_catalog(self):
         ctx = SmoothContext(5)

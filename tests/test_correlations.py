@@ -262,9 +262,9 @@ class TestSmoothRestriction:
             # index tail over smooth ell > L
             from ramsmooth.smooth import best_tail_params, smooth_tail_bound
             bound = (2 ** ctx.prime_count) * table.max_abs() * ctx.smooth_harmonic
-            tp = best_tail_params(ctx, Fraction(0), L)
+            delta, _ = best_tail_params(ctx, Fraction(0), L)
             total_radius += a * bound * smooth_tail_bound(
-                ctx, Fraction(0), tp.delta, L)
+                ctx, Fraction(0), delta, L)
             reference = smooth_restrict(table.function, ctx, a)
             assert abs(reference - total_center) <= total_radius
 

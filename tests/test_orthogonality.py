@@ -22,7 +22,6 @@ from ramsmooth import (
 )
 from ramsmooth import arith
 from ramsmooth.cli import main
-from ramsmooth.smooth import TailParams
 
 
 def expected(q, ell):
@@ -95,36 +94,34 @@ class TestSeries:
     def test_truncated_contains_exact(self):
         for Q in (2, 3):
             ctx = SmoothContext(Q)
-            tp = TailParams(Fraction(0), Fraction(3, 4), 1 << 13)
-            series = SmoothSeries(ctx, tp.truncation)
+            X = 1 << 13
+            series = SmoothSeries(ctx, X)
             for q in smooth_up_to(ctx, 12):
                 for ell in smooth_up_to(ctx, 12):
-                    got = orthogonality_truncated(ctx, q, ell, tp, series)
+                    got = orthogonality_truncated(ctx, q, ell, X, series)
                     assert got.contains(expected(q, ell)), (Q, q, ell)
 
     def test_power_of_two_diagonal(self):
         ctx = SmoothContext(2)
-        tp = TailParams(Fraction(0), Fraction(3, 4), 1 << 10)
-        got = orthogonality_truncated(ctx, 2, 2, tp)
+        got = orthogonality_truncated(ctx, 2, 2, 1 << 10)
         assert got.contains(1)
         assert abs(got.center - 1) < Fraction(1, 500)
 
     def test_unit_indices(self):
         ctx = SmoothContext(2)
-        tp = TailParams(Fraction(0), Fraction(1, 2), 64)
-        got = orthogonality_truncated(ctx, 1, 1, tp)
+        got = orthogonality_truncated(ctx, 1, 1, 64)
         assert got.contains(1)
 
     def test_rejects_nonsmooth_indices(self):
         ctx = SmoothContext(2)
-        tp = TailParams(Fraction(0), Fraction(1, 2), 64)
         with pytest.raises(ValueError):
-            orthogonality_truncated(ctx, 3, 1, tp)
+            orthogonality_truncated(ctx, 3, 1, 64)
 
     def test_auto_meets_target(self):
         ctx = SmoothContext(5)
-        got, tp = orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4))
+        got, X = orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4))
         assert got.radius <= Fraction(1, 10 ** 4)
+        assert got == orthogonality_truncated(ctx, 6, 6, X)
         assert got.contains(euler_phi(6))
         with pytest.raises(ArithmeticError):
             orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4),
@@ -132,24 +129,21 @@ class TestSeries:
 
     def test_result_record(self):
         ctx = SmoothContext(3)
-        tp = TailParams(Fraction(0), Fraction(3, 4), 1 << 12)
-        res = orthogonality_result(ctx, 6, 6, tp)
+        res = orthogonality_result(ctx, 6, 6, 1 << 12)
         assert res.expected == 2 and res.consistent
 
 
 class TestAbsoluteConvergence:
     def test_unit_pair_is_harmonic(self):
         ctx = SmoothContext(2)
-        tp = TailParams(Fraction(0), Fraction(3, 4), 1 << 10)
-        got = absolute_convergence_bound(ctx, 1, 1, tp)
+        got = absolute_convergence_bound(ctx, 1, 1, 1 << 10)
         assert got.contains(2)  # smooth harmonic for Q = 2
 
     def test_diagonal_two(self):
         # |c_2(t)| = 1 on powers of two, so the absolute series is again
         # the smooth harmonic series, value 2
         ctx = SmoothContext(2)
-        tp = TailParams(Fraction(0), Fraction(3, 4), 1 << 12)
-        got = absolute_convergence_bound(ctx, 2, 2, tp)
+        got = absolute_convergence_bound(ctx, 2, 2, 1 << 12)
         assert got.contains(2)
         assert got.upper < 3
 
@@ -157,8 +151,7 @@ class TestAbsoluteConvergence:
         ctx = SmoothContext(3)
         uppers = []
         for X in (1 << 8, 1 << 10, 1 << 12):
-            tp = TailParams(Fraction(0), Fraction(3, 4), X)
-            uppers.append(absolute_convergence_bound(ctx, 6, 6, tp).upper)
+            uppers.append(absolute_convergence_bound(ctx, 6, 6, X).upper)
         assert uppers[0] >= uppers[1] >= uppers[2]
 
 

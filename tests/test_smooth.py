@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ramsmooth import (
     SmoothContext,
     SmoothSeries,
-    TailParams,
     best_tail_params,
     euler_product_upper,
     refine_cutoff,
@@ -154,19 +153,26 @@ class TestEulerProducts:
             assert float(ub) > partial
 
 
-class TestTailParams:
-    def test_validation(self):
-        TailParams(Fraction(0), Fraction(1, 2), 10)
-        TailParams(Fraction(1, 4), Fraction(1, 2), 1)
-        with pytest.raises(ValueError):
-            TailParams(Fraction(1, 2), Fraction(1, 2), 10)
-        with pytest.raises(ValueError):
-            TailParams(Fraction(0), Fraction(0), 10)
-        with pytest.raises(ValueError):
-            TailParams(Fraction(0), Fraction(1, 2), 0)
-
-
 class TestRankinTail:
+    def test_validation(self):
+        ctx = SmoothContext(3)
+        smooth_tail_bound(ctx, Fraction(0), Fraction(1, 2), 10)
+        smooth_tail_bound(ctx, Fraction(1, 4), Fraction(1, 2), 1)
+        with pytest.raises(ValueError):
+            smooth_tail_bound(ctx, Fraction(1, 2), Fraction(1, 2), 10)
+        with pytest.raises(ValueError):
+            smooth_tail_bound(ctx, Fraction(0), Fraction(0), 10)
+        with pytest.raises(ValueError):
+            smooth_tail_bound(ctx, Fraction(0), Fraction(1, 2), 0)
+
+    def test_best_params_reject_epsilon_near_one(self):
+        # the delta grid is {1/16, ..., 15/16}: no delta is admissible
+        # once epsilon + 1/16 reaches 1
+        ctx = SmoothContext(3)
+        best_tail_params(ctx, Fraction(7, 8), 10)
+        with pytest.raises(ValueError):
+            best_tail_params(ctx, Fraction(15, 16), 10)
+
     def test_bound_exceeds_partial_tail(self):
         # oracle: a partial sum of actual tail terms stays under the bound
         ctx = SmoothContext(3)
@@ -208,16 +214,17 @@ class TestRankinTail:
         ctx = SmoothContext(3)
         series = SmoothSeries(ctx, 10 ** 6)
         for X in (10, 1000, 10 ** 5):
-            tp = best_tail_params(ctx, Fraction(0), X)
+            delta, _ = best_tail_params(ctx, Fraction(0), X)
             upper = series.harmonic_up_to(X) + \
-                smooth_tail_bound(ctx, tp.epsilon, tp.delta, X)
+                smooth_tail_bound(ctx, Fraction(0), delta, X)
             assert upper >= series.harmonic_up_to(10 ** 6)
 
     def test_best_params_on_grid(self):
         ctx = SmoothContext(5)
-        tp = best_tail_params(ctx, Fraction(0), 4096)
-        assert tp.delta.denominator in (1, 2, 4, 8, 16)
-        b_best = smooth_tail_bound(ctx, Fraction(0), tp.delta, 4096)
+        delta, bound = best_tail_params(ctx, Fraction(0), 4096)
+        assert delta.denominator in (1, 2, 4, 8, 16)
+        b_best = smooth_tail_bound(ctx, Fraction(0), delta, 4096)
+        assert bound == b_best
         for k in range(1, 16):
             other = Fraction(k, 16)
             assert b_best <= smooth_tail_bound(ctx, Fraction(0), other, 4096)
@@ -227,8 +234,8 @@ class TestRankinTail:
            st.integers(min_value=1, max_value=10 ** 6))
     def test_always_nonnegative(self, Q, X):
         ctx = SmoothContext(Q)
-        tp = best_tail_params(ctx, Fraction(0), X)
-        assert smooth_tail_bound(ctx, tp.epsilon, tp.delta, X) > 0
+        delta, _ = best_tail_params(ctx, Fraction(0), X)
+        assert smooth_tail_bound(ctx, Fraction(0), delta, X) > 0
 
 
 class TestRefineCutoff:

@@ -62,7 +62,7 @@ def tables(mode):
 
 # -- the per-element oracles: the Fraction loops of the coefficient sums ---
 
-def wintner_oracle(spec, ctx, ell, tp):
+def wintner_oracle(spec, ctx, ell, X):
     if not ctx.is_smooth(ell):
         return BoundedValue.exact(0)
     support = spec.transform_support
@@ -73,20 +73,20 @@ def wintner_oracle(spec, ctx, ell, tp):
             (spec.transform_value(ell * K) / (ell * K)
              for K in smooth_up_to(ctx, support // ell)), Fraction(0)))
     cert = spec.require_transform_certificate()
-    X = tp.truncation
     inner = X // ell
     partial = Fraction(0)
     if inner >= 1:
         for K in smooth_up_to(ctx, inner):
             partial += spec.transform_value(ell * K) / (ell * K)
-        tail = smooth_tail_bound(ctx, cert.exponent, tp.delta, inner)
+        delta, _ = best_tail_params(ctx, cert.exponent, X)
+        tail = smooth_tail_bound(ctx, cert.exponent, delta, inner)
     else:
         tail = euler_product_upper(ctx, cert.exponent - 1)
     return BoundedValue(partial, cert.bound *
                         pow_upper(ell, cert.exponent - 1) * tail)
 
 
-def carmichael_oracle(spec, ctx, ell, tp):
+def carmichael_oracle(spec, ctx, ell, X):
     phi = euler_phi(ell)
     if spec.ramanujan_hint is not None:
         return None  # closed by Euler products, not by a smooth sum
@@ -96,25 +96,26 @@ def carmichael_oracle(spec, ctx, ell, tp):
             (spec.evaluate(t) * ramanujan_sum(ell, t) / t
              for t in smooth_up_to(ctx, direct.bound)), Fraction(0)) / phi)
     partial = sum((spec.evaluate(t) * ramanujan_sum(ell, t) / t
-                   for t in smooth_up_to(ctx, tp.truncation)), Fraction(0))
-    tail = smooth_tail_bound(ctx, direct.exponent, tp.delta, tp.truncation)
+                   for t in smooth_up_to(ctx, X)), Fraction(0))
+    delta, _ = best_tail_params(ctx, direct.exponent, X)
+    tail = smooth_tail_bound(ctx, direct.exponent, delta, X)
     return BoundedValue(ctx.totient_product * partial / phi,
                         ctx.totient_product * ell * direct.bound * tail / phi)
 
 
-def expansion_oracle(spec, ctx, a, L, tp):
-    partial = interval_sum([wintner_oracle(spec, ctx, ell, tp).scale(
+def expansion_oracle(spec, ctx, a, L, X):
+    partial = interval_sum([wintner_oracle(spec, ctx, ell, X).scale(
         ramanujan_sum(ell, a)) for ell in smooth_up_to(ctx, L)])
     support = spec.transform_support
     if support is not None:
-        index_tail = sum((abs(wintner_oracle(spec, ctx, ell, tp).center) *
+        index_tail = sum((abs(wintner_oracle(spec, ctx, ell, X).center) *
                           min(a, ell) for ell in smooth_up_to(ctx, support)
                           if ell > L), Fraction(0))
     else:
         cert = spec.transform_certificate
         index_tail = a * cert.bound * euler_product_upper(
             ctx, cert.exponent - 1) * smooth_tail_bound(
-            ctx, cert.exponent, best_tail_params(ctx, cert.exponent, L).delta,
+            ctx, cert.exponent, best_tail_params(ctx, cert.exponent, L)[0],
             L)
     return partial, index_tail, smooth_restrict(spec, ctx, a)
 
@@ -272,11 +273,6 @@ def make_spec(name):
 SPECS = CATALOG_IDS + list(TABLES)
 
 
-def tail_params(ctx, cert, X):
-    eps = cert.exponent if isinstance(cert, GrowthCertificate) else 0
-    return best_tail_params(ctx, eps, X)
-
-
 class TestCoefficientOracles:
     @pytest.mark.parametrize("name", SPECS)
     @pytest.mark.parametrize("V", [2, 3, 7])
@@ -284,12 +280,8 @@ class TestCoefficientOracles:
         spec, ctx = make_spec(name), SmoothContext(V)
         for ell in smooth_up_to(ctx, 13):
             rec = coefficient_record(spec, ctx, ell)
-            assert rec.wintner == wintner_oracle(
-                spec, ctx, ell,
-                tail_params(ctx, spec.transform_certificate, 10_000))
-            car = carmichael_oracle(
-                spec, ctx, ell,
-                tail_params(ctx, spec.direct_certificate, 10_000))
+            assert rec.wintner == wintner_oracle(spec, ctx, ell, 10_000)
+            car = carmichael_oracle(spec, ctx, ell, 10_000)
             assert car is None or rec.carmichael == car
 
     @pytest.mark.parametrize("name", SPECS)
@@ -297,23 +289,18 @@ class TestCoefficientOracles:
     def test_cutoffs(self, name, X):
         spec, ctx = make_spec(name), SmoothContext(5)
         for ell in smooth_up_to(ctx, 13):
-            tp = tail_params(ctx, spec.transform_certificate, X)
-            assert wintner_restricted(spec, ctx, ell, tp) == \
-                wintner_oracle(spec, ctx, ell, tp)
-            tp = tail_params(ctx, spec.direct_certificate, X)
-            car = carmichael_oracle(spec, ctx, ell, tp)
-            assert car is None or carmichael_formula(spec, ctx, ell, tp) == car
+            assert wintner_restricted(spec, ctx, ell, X) == \
+                wintner_oracle(spec, ctx, ell, X)
+            car = carmichael_oracle(spec, ctx, ell, X)
+            assert car is None or carmichael_formula(spec, ctx, ell, X) == car
 
     @pytest.mark.parametrize("name", SPECS)
     def test_expansion_partial(self, name):
         spec, ctx = make_spec(name), SmoothContext(5)
-        eps = spec.transform_certificate.exponent if isinstance(
-            spec.transform_certificate, GrowthCertificate) else Fraction(0)
-        tp = best_tail_params(ctx, eps, 900)
         for a in (1, 6, 45):
-            got = expansion_partial(spec, ctx, a, 18, tp)
+            got = expansion_partial(spec, ctx, a, 18, 900)
             partial, index_tail, reference = expansion_oracle(
-                spec, ctx, a, 18, tp)
+                spec, ctx, a, 18, 900)
             assert (got.partial, got.index_tail, got.reference) == \
                 (partial, index_tail, reference)
 
@@ -352,7 +339,6 @@ def test_huge_numerators_through_coeffs_and_expand(tmp_path):
                      "--out", str(tmp_path)]) == 0
     spec, ctx = spec_from_table("big", "eratosthenes", entries), \
         SmoothContext(3)
-    tp = best_tail_params(ctx, 0, 10_000)
     rows = (tmp_path / "coeffs.csv").read_text().splitlines()[1:]
     for row in rows:
         ell, win, _, car, car_radius, _ = row.split(",")
@@ -360,14 +346,14 @@ def test_huge_numerators_through_coeffs_and_expand(tmp_path):
         if not ctx.is_smooth(ell):
             assert win == car == "0/1"
             continue
-        assert Fraction(win) == wintner_oracle(spec, ctx, ell, tp).center
-        want = carmichael_oracle(spec, ctx, ell, tp)
+        assert Fraction(win) == wintner_oracle(spec, ctx, ell, 10_000).center
+        want = carmichael_oracle(spec, ctx, ell, 10_000)
         assert (Fraction(car), Fraction(car_radius)) == \
             (want.center, want.radius)
     report = json.loads((tmp_path / "expand.json").read_text())
     for point in report["points"]:
         partial, index_tail, reference = expansion_oracle(
-            spec, ctx, point["a"], 8, tp)
+            spec, ctx, point["a"], 8, 10_000)
         assert Fraction(point["partial"]["center"]) == partial.center
         assert Fraction(point["index_tail"]) == index_tail
         assert Fraction(point["reference"]) == reference
