@@ -248,10 +248,11 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[int, list[dict]]:
 
 def _cmd_conjecture1(cfg: RunConfig) -> tuple[int, list[dict]]:
     o = cfg.options
-    ctx = SmoothContext(o["Q"])
     for key in ("index_bound", "shift_bound"):
         if o[key] is None:  # one table period, under the table budget
             o[key] = table_period(o["Q"])
+    # built after the budget check: its cost grows with Q
+    ctx = SmoothContext(o["Q"])
     outcome = find_shifted_orthogonality_violations(
         ctx,
         index_bound=o["index_bound"],

@@ -11,8 +11,9 @@ claim for certified violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 from .arith import euler_phi, mobius, ramanujan_sum
 from .dyadic import pow_lower
@@ -184,6 +185,18 @@ def find_shifted_orthogonality_violations(
     are summed once per residue class, A_r = sum over smooth t <= X with
     t = r (mod q) of c_l(t) D/t, and every shift n costs
     sum_r c_q(n+r) A_r: the same numerator over D as the term-by-term sum.
+    The weights D/t of a cutoff come from its SmoothSeries, and they are
+    binned once per (X, m) with m = lcm(q, ell) into B[x], the sum of
+    D/t over the smooth t <= X with t = x (mod m), kept for the nonzero
+    residues only; each row is then folded as
+    A_r = sum over x = r (mod q) of c_l(x mod ell) B[x].
+
+    A point, its claim [q == ell] c_l(n) included, depends on the shift n
+    only mod q, so the cutoff is refined once per (q, ell, n mod q) and
+    the other shifts of that residue copy its point with their own n.
+    points_checked still counts every shift, and the order of witnesses
+    and undecided points, as well as stop_after, are those of a sweep
+    that refines every shift.
     """
     indices = smooth_up_to(ctx, index_bound)
     shifts = []
@@ -192,18 +205,28 @@ def find_shifted_orthogonality_violations(
     witnesses: list[ShiftedOrthogonalityPoint] = []
     undecided: list[ShiftedOrthogonalityPoint] = []
     series_cache: dict[int, SmoothSeries] = {}
+    bins_cache: dict[tuple[int, int], dict[int, int]] = {}
+
+    def binned(X, m):
+        """(B, D): the weights D/t of the smooth t <= X summed per
+        residue t mod m, and their denominator D."""
+        series = series_cache.get(X)
+        if series is None:
+            series = series_cache[X] = SmoothSeries(ctx, X)
+        bins = bins_cache.get((X, m))
+        if bins is None:
+            bins = bins_cache[X, m] = {}
+            for t, w in zip(series.values, series.weights):
+                bins[t % m] = bins.get(t % m, 0) + w
+        return bins, series.denominator
 
     def row(q, ell, cl, X):
         """What every shift of (q, ell) shares at cutoff X: the residue
         class sums, their denominator and the tail radius."""
-        series = series_cache.get(X)
-        if series is None:
-            series = SmoothSeries(ctx, X)
-            series_cache[X] = series
-        denom = series.denominator
+        bins, denom = binned(X, lcm(q, ell))
         sums = [0] * q
-        for t in series.values:
-            sums[t % q] += cl[t % ell] * (denom // t)
+        for x, b in bins.items():
+            sums[x % q] += cl[x % ell] * b
         return sums, denom, tail_radius(ctx, q, ell, X)
 
     checked = 0
@@ -212,6 +235,7 @@ def find_shifted_orthogonality_violations(
         for ell in indices:
             cl = [ramanujan_sum(ell, r) for r in range(ell)]
             rows: dict[int, tuple] = {}
+            refined: dict[int, tuple] = {}
 
             def evaluate(n, X):
                 if X not in rows:
@@ -226,12 +250,16 @@ def find_shifted_orthogonality_violations(
 
             for n in shifts:
                 checked += 1
-                point, _, met = refine_cutoff(
-                    lambda X: evaluate(n, X), target_radius, x_start, x_cap)
-                if point.violated:
-                    witnesses.append(point)
+                if n % q not in refined:
+                    point, _, met = refine_cutoff(
+                        lambda X: evaluate(n, X), target_radius, x_start,
+                        x_cap)
+                    refined[n % q] = point, point.violated, met
+                point, violated, met = refined[n % q]
+                if violated:
+                    witnesses.append(replace(point, n=n))
                 elif not met:
-                    undecided.append(point)
+                    undecided.append(replace(point, n=n))
                 if witnesses and stop_after and len(witnesses) >= stop_after:
                     return SweepOutcome(tuple(witnesses), tuple(undecided), checked)
     return SweepOutcome(tuple(witnesses), tuple(undecided), checked)

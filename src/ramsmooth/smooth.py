@@ -11,7 +11,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import exp, expm1, gcd, inf, log
 
 from .arith import primes_up_to
 from .dyadic import pow_upper
@@ -198,20 +199,52 @@ _DELTA_GRID = tuple(Fraction(k, 16) for k in range(1, 16))
 def best_tail_params(ctx: SmoothContext, epsilon: Fraction,
                      X: int) -> tuple[Fraction, Fraction]:
     """(delta, bound): the grid delta in {1/16, ..., 15/16} minimizing the
-    Rankin bound on the smooth tail beyond X, and that bound."""
+    Rankin bound on the smooth tail beyond X, and that bound.
+
+    Only the deltas that can win are priced exactly.  A float estimate of
+    log(X**-delta * prod_p (1 - p**(eps+delta-1))**-1) is made for each
+    admissible delta, and smooth_tail_bound runs only for the deltas whose
+    estimate is within a margin of the smallest one, in grid order with
+    the same strict-< tie-break as a loop over the whole grid.  The margin
+    covers the float error of the two estimates compared (it allows 1e-9
+    per summed term; each term is off by far less than half that) and the
+    a-priori slack of the dyadic bounds: each power is at most 2**-63 above
+    its true value (_root_bounds), so log(bound / true value) is at most
+    2**-62 * (X**delta + sum_p 1 / (1 - p**s)).  A delta outside the margin
+    therefore has an exact bound strictly above the bound of the smallest
+    estimate, and the result is the full grid's.  When the slack is not
+    small (X**delta past 2**60) the margin is infinite and every delta is
+    priced.  Floats only choose delta; no float reaches a bound.
+    """
     epsilon = Fraction(epsilon)
     key = ("best", epsilon, X)
     best = ctx._tail_memo.get(key)
     if best is not None:
         return best
-    for d in _DELTA_GRID:
-        if epsilon + d >= 1:
-            break
+    grid = [d for d in _DELTA_GRID if epsilon + d < 1]
+    if not grid:
+        raise ValueError("no admissible delta: epsilon too close to 1")
+    if X < 1:
+        raise ValueError("tail bound needs X >= 1")
+    log_x = log(X)
+    log_p = [log(p) for p in ctx.primes]
+    estimates = []
+    for d in grid:
+        s = float(epsilon + d - 1)
+        gaps = [-expm1(s * lp) for lp in log_p]  # 1 - p**s
+        estimate = -float(d) * log_x - sum(log(g) for g in gaps)
+        estimates.append((estimate, float(d), sum(1 / g for g in gaps)))
+    low, d_low, gap_sum = min(estimates)
+    # exp(700) times 2**-62 is far past the cap, so the guard never
+    # changes the outcome
+    slack = 2.0 ** -62 * (exp(min(d_low * log_x, 700.0)) + gap_sum)
+    margin = 1e-9 * (1 + len(log_p)) + (slack if slack <= 0.25 else inf)
+    for d, (estimate, _, _) in zip(grid, estimates):
+        if estimate > low + margin:
+            continue
         b = smooth_tail_bound(ctx, epsilon, d, X)
         if best is None or b < best[1]:
             best = (d, b)
-    if best is None:
-        raise ValueError("no admissible delta: epsilon too close to 1")
     ctx._tail_memo[key] = best
     return best
 
@@ -244,8 +277,9 @@ class SmoothSeries:
     """Sorted Q-smooth numbers <= X with exact prefix harmonic sums.
 
     harmonic_up_to(Y) returns sum over smooth t <= Y of 1/t exactly; the
-    prefix sums share one denominator (the lcm of all enumerated smooth
-    numbers) so construction stays in integer arithmetic.
+    prefix sums share one denominator D (the lcm of all enumerated smooth
+    numbers) so construction stays in integer arithmetic.  weights holds
+    the integers D // t, aligned with values, for sums over the series.
     """
 
     def __init__(self, ctx: SmoothContext, X: int):
@@ -259,12 +293,8 @@ class SmoothSeries:
                 pk *= p
             denom *= pk
         self._denom = denom
-        acc = 0
-        prefix = []
-        for t in self.values:
-            acc += denom // t
-            prefix.append(acc)
-        self._prefix = prefix
+        self.weights = [denom // t for t in self.values]
+        self._prefix = list(accumulate(self.weights))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -318,15 +318,18 @@ class TestExitCodes:
         assert not (tmp_path / "reef_residual.json").exists()
         assert not (tmp_path / "coeffs.csv").exists()
 
+    @pytest.mark.parametrize("Q", ["13", "100000000"])
     def test_default_sweep_span_has_budget(self, tmp_path, capsys,
-                                           monkeypatch):
+                                           monkeypatch, Q):
         def refuse(*args, **kwargs):
             raise AssertionError("sweep started")
 
-        # the default span lcm(1..13) = 360360 is over the period budget
+        # the default span lcm(1..Q) >= 360360 is over the period budget,
+        # and the check comes before the context, whose cost grows with Q
         monkeypatch.setattr(cli, "find_shifted_orthogonality_violations",
                             refuse)
-        assert run(["conjecture1", "--Q", "13"], tmp_path) == 3
+        monkeypatch.setattr(cli, "SmoothContext", refuse)
+        assert run(["conjecture1", "--Q", Q], tmp_path) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "conjecture1.json").exists()

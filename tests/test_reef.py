@@ -9,6 +9,7 @@ from ramsmooth import (
     CorrelationTable,
     ReefInstance,
     SmoothContext,
+    SmoothSeries,
     constant_one,
     counterexample_report,
     euler_phi,
@@ -26,7 +27,7 @@ from ramsmooth import (
     smooth_up_to,
     spec_from_table,
 )
-from ramsmooth import smooth
+from ramsmooth import reef, smooth
 from ramsmooth.dyadic import pow_upper
 from conftest import make_random_table
 
@@ -153,6 +154,57 @@ class TestShiftedOrthogonality:
             assert replay.value.center == p.value.center
             assert replay.value.radius == p.value.radius
             assert (replay.delta, replay.claimed) == (p.delta, p.claimed)
+
+    @pytest.mark.parametrize("stop_after", [1, 3, None])
+    def test_sweep_refines_once_per_shift_residue(self, monkeypatch,
+                                                   stop_after):
+        # reference: every shift refined on its own, each cutoff priced by
+        # the term-by-term evaluator
+        ctx = SmoothContext(3)
+        x_start, x_cap, target = 1 << 10, 1 << 16, Fraction(1, 100)
+        series = SmoothSeries(ctx, x_cap)
+        shifts = [s for m in range(1, 5) for s in (m, -m)]
+        witnesses, undecided, visited, checked = [], [], set(), 0
+
+        def reference():
+            nonlocal checked
+            for q in smooth_up_to(ctx, 6):
+                for ell in smooth_up_to(ctx, 6):
+                    for n in shifts:
+                        checked += 1
+                        visited.add((q, ell, n % q))
+                        X = x_start
+                        while True:
+                            point = shifted_orthogonality_eval(
+                                ctx, q, ell, n, X, series)
+                            met = point.value.radius <= target
+                            if point.violated or met or X == x_cap:
+                                break
+                            X = min(2 * X, x_cap)
+                        if point.violated:
+                            witnesses.append(point)
+                        elif not met:
+                            undecided.append(point)
+                        if stop_after and len(witnesses) >= stop_after:
+                            return
+
+        reference()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return smooth.refine_cutoff(*args)
+
+        monkeypatch.setattr(reef, "refine_cutoff", counting)
+        outcome = find_shifted_orthogonality_violations(
+            SmoothContext(3), index_bound=6, shift_bound=4, x_start=x_start,
+            x_cap=x_cap, target_radius=target, stop_after=stop_after)
+        assert len(calls) == len(visited) < checked
+        assert outcome.points_checked == checked
+        assert outcome.witnesses == tuple(witnesses)
+        assert outcome.undecided == tuple(undecided)
+        assert witnesses
+        assert stop_after in (None, len(witnesses))
 
     def test_sweep_computes_tail_bounds_once_per_context(self, monkeypatch):
         # 15 grid deltas: one Euler product per delta (one power per

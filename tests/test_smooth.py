@@ -229,6 +229,31 @@ class TestRankinTail:
             other = Fraction(k, 16)
             assert b_best <= smooth_tail_bound(ctx, Fraction(0), other, 4096)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=200),
+           st.integers(min_value=1, max_value=128).flatmap(
+               lambda b: st.fractions(0, 1, max_denominator=b)),
+           st.one_of(st.just(1),
+                     st.integers(0, 46).map(lambda k: 10 ** 4 << k),
+                     st.just(10 ** 400)))
+    def test_screened_delta_is_the_full_grids(self, Q, eps, X):
+        # oracle: price every admissible grid delta exactly and keep the
+        # first strict minimum; 10**400 overflows the float X**delta
+        ctx = SmoothContext(Q)
+        full = None
+        for k in range(1, 16):
+            d = Fraction(k, 16)
+            if eps + d >= 1:
+                break
+            b = smooth_tail_bound(ctx, eps, d, X)
+            if full is None or b < full[1]:
+                full = (d, b)
+        if full is None:
+            with pytest.raises(ValueError):
+                best_tail_params(SmoothContext(Q), eps, X)
+        else:
+            assert best_tail_params(SmoothContext(Q), eps, X) == full
+
     @settings(max_examples=25)
     @given(st.integers(min_value=2, max_value=13),
            st.integers(min_value=1, max_value=10 ** 6))
