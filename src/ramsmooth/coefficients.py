@@ -30,7 +30,7 @@ from .functions import ArithmeticFunctionSpec, CertificateError, FiniteSupport, 
 from .intervals import BoundedValue, interval_sum
 from .orthogonality import pair_series_exact
 from .smooth import SmoothContext, best_tail_params, euler_product_upper, \
-    refine_cutoff, smooth_tail_bound, smooth_up_to
+    refine_cutoff, smooth_up_to
 
 # Default cutoff X of the truncated coefficient sums: terms up to X are
 # summed exactly, the smooth tail beyond X is bounded by Rankin's trick.
@@ -46,10 +46,8 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     """Wintner coefficient of the V-smooth restriction at index ell.
 
     Exactly 0 off the smooth support, exact for finite-support transforms,
-    otherwise a certified interval: partial sum over smooth d = ell*K up
-    to the cutoff X plus a Rankin tail radius scaled by the transform's
-    growth certificate.  The Rankin shift is the best one at X, although
-    the tail is taken beyond X // ell.
+    otherwise the certified multiples_sum at the cutoff X under the
+    transform's growth certificate.
     """
     if ell < 1:
         raise ValueError("coefficient index must be >= 1")
@@ -61,19 +59,45 @@ def wintner_restricted(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
             return BoundedValue.exact(0)
         return BoundedValue.exact(
             spec.smooth_sum(ctx, support, False, lambda ts: ts % ell == 0))
+    cert = _transform_growth(spec)
+    return multiples_sum(spec, ctx, ell, X, cert.bound, cert.exponent)
+
+
+def _transform_growth(spec: ArithmeticFunctionSpec) -> GrowthCertificate:
     cert = spec.require_transform_certificate()
     if not isinstance(cert, GrowthCertificate):
         raise CertificateError(f"{spec.name}: unsupported certificate {cert!r}")
-    delta, _ = best_tail_params(ctx, cert.exponent, X)
-    partial = Fraction(0)
+    return cert
+
+
+def multiples_sum(spec: ArithmeticFunctionSpec, ctx: SmoothContext, ell: int,
+                  X: int, bound: Fraction, epsilon: Fraction) -> BoundedValue:
+    """Certified sum over smooth d = ell*K of F'(d)/d, for smooth ell,
+    given |F'(d)| <= bound * d**epsilon on smooth d.
+
+    The partial sum runs over the smooth d <= X; the skipped d have
+    K > X // ell, and bound * ell**(epsilon-1) times the Rankin tail of
+    the smooth K beyond X // ell, at the shift best there, covers them
+    (the full smooth series in place of the tail when X < ell).
+    """
     inner = X // ell
     if inner >= 1:
         partial = spec.smooth_sum(ctx, X, False, lambda ts: ts % ell == 0)
-        tail = smooth_tail_bound(ctx, cert.exponent, delta, inner)
+        _, tail = best_tail_params(ctx, epsilon, inner)
     else:
-        tail = euler_product_upper(ctx, cert.exponent - 1)
-    radius = cert.bound * pow_upper(ell, cert.exponent - 1) * tail
-    return BoundedValue(partial, radius)
+        partial = Fraction(0)
+        tail = euler_product_upper(ctx, epsilon - 1)
+    return BoundedValue(partial, bound * pow_upper(ell, epsilon - 1) * tail)
+
+
+def rankin_index_tail(ctx: SmoothContext, L: int, weight_bound,
+                      bound: Fraction, epsilon: Fraction) -> Fraction:
+    """Bound on sum over smooth ell > L of w(ell) * |Win_ell| for weights
+    w(ell) <= weight_bound, when |Win_ell| <= bound * ell**(epsilon-1) *
+    (the full smooth series with exponent epsilon - 1): one Rankin tail
+    at L."""
+    _, tail = best_tail_params(ctx, epsilon, L)
+    return weight_bound * bound * euler_product_upper(ctx, epsilon - 1) * tail
 
 
 def wintner_to_target(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
@@ -229,31 +253,29 @@ def expansion_partial(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
         win = wintner_restricted(spec, ctx, ell, X)
         pieces.append(win.scale(ramanujan_sum(ell, a)))
     partial = interval_sum(pieces)
-    index_tail = _index_tail(spec, ctx, a, L)
+    index_tail = _index_tail(spec, ctx, L, lambda ell: min(a, ell), a)
     reference = smooth_restrict(spec, ctx, a)
     return ExpansionPartial(a=a, cutoff=L, partial=partial,
                             index_tail=index_tail, reference=reference)
 
 
-def _index_tail(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                a: int, L: int) -> Fraction:
-    """Bound on sum over smooth ell > L of |Win_ell| * |c_ell(a)|.
+def _index_tail(spec: ArithmeticFunctionSpec, ctx: SmoothContext, L: int,
+                weight, weight_bound) -> Fraction:
+    """Bound on sum over smooth ell > L of weight(ell) * |Win_ell|, with
+    weight(ell) <= weight_bound.
 
-    |c_ell(a)| <= a and |Win_ell| <= C * ell**(eps-1) * (full smooth
-    series), so the tail is controlled by one Rankin bound at L.
+    A finite transform support makes it the exact finite sum over the
+    smooth ell in (L, support]; otherwise |Win_ell| <= C * ell**(eps-1) *
+    (full smooth series) under the growth certificate, and the skipped
+    mass is the rankin_index_tail at L.
     """
     support = spec.transform_support
     if support is not None:
-        total = Fraction(0)
-        for ell in smooth_up_to(ctx, support):
-            if ell > L:
-                win = wintner_restricted(spec, ctx, ell)
-                total += abs(win.center) * min(a, ell)
-        return total
-    cert = spec.require_transform_certificate()
-    _, tail = best_tail_params(ctx, cert.exponent, L)
-    series_mass = euler_product_upper(ctx, cert.exponent - 1)
-    return a * cert.bound * series_mass * tail
+        return sum((weight(ell) * abs(wintner_restricted(spec, ctx, ell).center)
+                    for ell in smooth_up_to(ctx, support) if ell > L),
+                   Fraction(0))
+    cert = _transform_growth(spec)
+    return rankin_index_tail(ctx, L, weight_bound, cert.bound, cert.exponent)
 
 
 @dataclass(frozen=True)
@@ -294,9 +316,9 @@ def weighted_decay_check(records: Sequence[CoefficientRecord],
     """(partial, tail_bound) for sum over ell of 2**omega(ell) |coefficient|.
 
     partial uses the upper interval ends of all records with ell <= L;
-    the tail majorizes the skipped smooth indices by
-    2**prime_count * C * (Rankin tail at L) * (full smooth series), and is
-    exactly 0 once L covers a finite transform support.  Finiteness of
+    the tail is the index tail of the skipped smooth indices under the
+    weight 2**omega(ell) <= 2**prime_count (exactly 0 once L covers a
+    finite transform support).  Finiteness of
     partial + tail is the decay guarantee that pins the expansion down
     uniquely.
     """
@@ -304,22 +326,9 @@ def weighted_decay_check(records: Sequence[CoefficientRecord],
     for rec in records:
         if rec.ell <= L:
             partial += 2 ** omega(rec.ell) * rec.wintner.abs_upper
-    support = spec.transform_support
-    if support is not None:
-        # coefficients vanish beyond a finite transform support, so the
-        # skipped mass is a finite exact sum (empty once L covers it)
-        tail = Fraction(0)
-        for ell in smooth_up_to(ctx, support):
-            if ell > L:
-                win = wintner_restricted(spec, ctx, ell)
-                tail += 2 ** omega(ell) * abs(win.center)
-        return partial, tail
-    cert = spec.require_transform_certificate()
-    if not isinstance(cert, GrowthCertificate):
-        raise CertificateError(f"{spec.name}: unsupported certificate {cert!r}")
-    _, tail = best_tail_params(ctx, cert.exponent, L)
-    return partial, (2 ** ctx.prime_count) * cert.bound * tail * \
-        euler_product_upper(ctx, cert.exponent - 1)
+    tail = _index_tail(spec, ctx, L, lambda ell: 2 ** omega(ell),
+                       2 ** ctx.prime_count)
+    return partial, tail
 
 
 @dataclass(frozen=True)

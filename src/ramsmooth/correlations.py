@@ -28,11 +28,12 @@ import numpy as np
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
     exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum, \
     ramanujan_sums
-from .coefficients import carmichael_periodic_mean
+from .coefficients import carmichael_periodic_mean, multiples_sum, \
+    rankin_index_tail
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
 from .intervals import BoundedValue, interval_sum
-from .smooth import SmoothContext, best_tail_params, smooth_up_to
+from .smooth import SmoothContext, smooth_up_to
 
 _FIXED_POINT_BITS = 48
 
@@ -293,9 +294,10 @@ class CorrelationTable:
                        transform_support: int | None = None) -> BoundedValue:
         """Certified sum over smooth multiples d of ell of C'(N, d)/d.
 
-        Exactly 0 (term-free) when ell is not smooth.  The radius uses
+        Exactly 0 (term-free) when ell is not smooth.  Otherwise the
+        coefficients layer's multiples_sum on self.function, under
         |C'(N, d)| <= 2**omega(d) * max|C| <= 2**prime_count * max|C| on
-        smooth d, then a Rankin tail on the smooth harmonic series.
+        smooth d.
 
         transform_support is a caller-asserted bound beyond which C'
         vanishes; it is audited against every transform value this sum
@@ -305,29 +307,22 @@ class CorrelationTable:
             raise ValueError("coefficient index must be >= 1")
         if not ctx.is_smooth(ell):
             return BoundedValue.exact(0)
-        inner = X // ell
-        partial = Fraction(0)
-        if inner >= 1:
-            def multiples(ts):
-                return ts % ell == 0
-            if transform_support is not None:
+        if transform_support is not None:
+            if X >= ell:  # else no multiple of ell is read
                 ts, nums, den = self.function.smooth_vector(ctx, X, False)
-                bad = np.flatnonzero(multiples(ts) & (ts > transform_support)
+                bad = np.flatnonzero((ts % ell == 0) & (ts > transform_support)
                                      & (nums != 0))
                 if len(bad):
                     i = bad[0]
                     raise ArithmeticError(
                         f"claimed transform support {transform_support} "
                         f"refuted: C'({ts[i]}) = {Fraction(int(nums[i]), den)}")
-            partial = self.function.smooth_sum(ctx, X, False, multiples)
-        if transform_support is not None and transform_support <= X:
-            return BoundedValue.exact(partial)
-        bound = (2 ** ctx.prime_count) * self.max_abs()
-        if inner >= 1:
-            _, tail = best_tail_params(ctx, Fraction(0), inner)
-        else:
-            tail = ctx.smooth_harmonic
-        return BoundedValue(partial, bound * tail / ell)
+            if transform_support <= X:
+                return BoundedValue.exact(self.function.smooth_sum(
+                    ctx, X, False, lambda ts: ts % ell == 0))
+        return multiples_sum(self.function, ctx, ell, X,
+                             2 ** ctx.prime_count * self.max_abs(),
+                             Fraction(0))
 
     # -- the conditionally convergent full series --------------------------------
 
@@ -511,8 +506,7 @@ def expansion_tail_term(table: CorrelationTable, ctx: SmoothContext, a: int,
     if transform_support is not None and L >= transform_support:
         index_tail = Fraction(0)
     else:
-        bound = (2 ** ctx.prime_count) * table.max_abs() * ctx.smooth_harmonic
-        _, tail = best_tail_params(ctx, Fraction(0), L)
-        index_tail = a * bound * tail
+        index_tail = rankin_index_tail(
+            ctx, L, a, 2 ** ctx.prime_count * table.max_abs(), Fraction(0))
     return ExpansionTailTerm(V=ctx.Q, a=a, cutoff=L,
                              value=total.widen(index_tail))

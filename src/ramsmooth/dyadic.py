@@ -45,22 +45,21 @@ def floor_nth_root(n: int, k: int) -> int:
         r = nxt
 
 
-def _root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
-    """(lo, hi) rationals with lo <= x**(1/k) <= hi, for x > 0."""
-    scale = 1 << (bits * k)
+def _root_bounds(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) rationals with lo <= x**(1/k) <= hi, for x > 0, and
+    hi - lo <= 2**(1 - bits) for bits = DEFAULT_PRECISION_BITS, the slack
+    best_tail_params' screening margin is proven for."""
+    scale = 1 << (DEFAULT_PRECISION_BITS * k)
     num = x.numerator * scale
     den = x.denominator
     lo_int = floor_nth_root(num // den, k)
     hi_int = floor_nth_root(-(-num // den), k) + 1
-    shift = 1 << bits
+    shift = 1 << DEFAULT_PRECISION_BITS
     return Fraction(lo_int, shift), Fraction(hi_int, shift)
 
 
-def pow_bounds(
-    base: Fraction | int,
-    exponent: Fraction | int,
-    bits: int = DEFAULT_PRECISION_BITS,
-) -> tuple[Fraction, Fraction]:
+def pow_bounds(base: Fraction | int,
+               exponent: Fraction | int) -> tuple[Fraction, Fraction]:
     """(lo, hi) rationals with lo <= base**exponent <= hi.
 
     base must be a positive rational; exponent any rational.  Integer
@@ -74,18 +73,17 @@ def pow_bounds(
         exact = b ** int(e)
         return exact, exact
     if e < 0:
-        lo, hi = pow_bounds(1 / b, -e, bits)
-        return lo, hi
+        return pow_bounds(1 / b, -e)
     # e = u/v with u, v > 0: bound the v-th root of b**u.
     u, v = e.numerator, e.denominator
-    return _root_bounds(b ** u, v, bits)
+    return _root_bounds(b ** u, v)
 
 
-def pow_upper(base, exponent, bits: int = DEFAULT_PRECISION_BITS) -> Fraction:
+def pow_upper(base, exponent) -> Fraction:
     """Rational r >= base**exponent."""
-    return pow_bounds(base, exponent, bits)[1]
+    return pow_bounds(base, exponent)[1]
 
 
-def pow_lower(base, exponent, bits: int = DEFAULT_PRECISION_BITS) -> Fraction:
+def pow_lower(base, exponent) -> Fraction:
     """Rational r <= base**exponent."""
-    return pow_bounds(base, exponent, bits)[0]
+    return pow_bounds(base, exponent)[0]

@@ -269,17 +269,6 @@ def find_shifted_orthogonality_violations(
 
 
 @dataclass(frozen=True)
-class ResidualRow:
-    a: int
-    lhs: Fraction
-    rhs: Fraction
-
-    @property
-    def defect(self) -> Fraction:
-        return self.lhs - self.rhs
-
-
-@dataclass(frozen=True)
 class ResidualProfile:
     """Exact expansion defects over a shift window, with the envelope
     statistics for a chosen exponent.  No pass/fail: the error-term
@@ -290,7 +279,7 @@ class ResidualProfile:
     Q: int
     delta: Fraction
     shift_cap: int
-    rows: tuple[ResidualRow, ...]
+    rows: tuple[ReefReport, ...]
     max_abs_defect: Fraction = field(init=False)
     envelope_cut: int = field(init=False)
     max_abs_defect_in_envelope: Fraction = field(init=False)
@@ -314,7 +303,6 @@ def residual_profile(table: CorrelationTable, a_max: int,
         raise ValueError("shift window must stay within the length")
     if not 0 < delta < 1:
         raise ValueError("envelope exponent delta must lie in (0, 1)")
-    rows = [ResidualRow(a=a, lhs=table.value(a), rhs=reef_rhs(table, a))
-            for a in range(1, a_max + 1)]
+    rows = [reef_report(table, a) for a in range(1, a_max + 1)]
     return ResidualProfile(N=table.N, Q=table.g.Q, delta=Fraction(delta),
                            shift_cap=a_max, rows=tuple(rows))

@@ -221,25 +221,32 @@ def best_tail_params(ctx: SmoothContext, epsilon: Fraction,
     best = ctx._tail_memo.get(key)
     if best is not None:
         return best
-    grid = [d for d in _DELTA_GRID if epsilon + d < 1]
-    if not grid:
-        raise ValueError("no admissible delta: epsilon too close to 1")
+    # (delta, float(delta), sum_p log(1 - p**s), sum_p 1 / (1 - p**s)) for
+    # each admissible delta, s = eps + delta - 1: the part of the estimates
+    # that does not depend on X, kept per epsilon
+    grid = ctx._tail_memo.get(("grid", epsilon))
+    if grid is None:
+        grid = []
+        for d in _DELTA_GRID:
+            if epsilon + d < 1:
+                s = float(epsilon + d - 1)
+                gaps = [-expm1(s * log(p)) for p in ctx.primes]  # 1 - p**s
+                grid.append((d, float(d), sum(map(log, gaps)),
+                             sum(1 / g for g in gaps)))
+        if not grid:
+            raise ValueError("no admissible delta: epsilon too close to 1")
+        ctx._tail_memo["grid", epsilon] = grid
     if X < 1:
         raise ValueError("tail bound needs X >= 1")
     log_x = log(X)
-    log_p = [log(p) for p in ctx.primes]
-    estimates = []
-    for d in grid:
-        s = float(epsilon + d - 1)
-        gaps = [-expm1(s * lp) for lp in log_p]  # 1 - p**s
-        estimate = -float(d) * log_x - sum(log(g) for g in gaps)
-        estimates.append((estimate, float(d), sum(1 / g for g in gaps)))
+    estimates = [(-fd * log_x - log_gaps, fd, gap_sum)
+                 for _, fd, log_gaps, gap_sum in grid]
     low, d_low, gap_sum = min(estimates)
     # exp(700) times 2**-62 is far past the cap, so the guard never
     # changes the outcome
     slack = 2.0 ** -62 * (exp(min(d_low * log_x, 700.0)) + gap_sum)
-    margin = 1e-9 * (1 + len(log_p)) + (slack if slack <= 0.25 else inf)
-    for d, (estimate, _, _) in zip(grid, estimates):
+    margin = 1e-9 * (1 + ctx.prime_count) + (slack if slack <= 0.25 else inf)
+    for (d, _, _, _), (estimate, _, _) in zip(grid, estimates):
         if estimate > low + margin:
             continue
         b = smooth_tail_bound(ctx, epsilon, d, X)

@@ -14,6 +14,7 @@ from ramsmooth import (
     carmichael_empirical,
     carmichael_formula,
     carmichael_periodic_exact,
+    catalog_spec,
     coefficient_record,
     compare_candidate,
     constant_one,
@@ -21,6 +22,7 @@ from ramsmooth import (
     expansion_partial,
     lcm_range,
     mobius,
+    mobius_spec,
     point_mass,
     ramanujan_modulus,
     ramanujan_sum,
@@ -31,6 +33,9 @@ from ramsmooth import (
     wintner_restricted,
     wintner_to_target,
 )
+from ramsmooth.dyadic import pow_upper
+from ramsmooth.smooth import best_tail_params, euler_product_upper, \
+    smooth_tail_bound
 
 
 class TestWintner:
@@ -96,6 +101,57 @@ class TestWintner:
         fine = wintner_restricted(spec, ctx, 2, 100_000)
         assert coarse.contains(fine.center)
         assert fine.radius < coarse.radius
+
+
+class TestWintnerRadius:
+    """The Rankin shift of a Wintner sum is chosen at X // ell, where its
+    tail starts."""
+
+    @staticmethod
+    def shift_at_cutoff(spec, ctx, ell, X):
+        """The radius with the shift that is best at X instead."""
+        cert = spec.transform_certificate
+        if X // ell >= 1:
+            delta, _ = best_tail_params(ctx, cert.exponent, X)
+            tail = smooth_tail_bound(ctx, cert.exponent, delta, X // ell)
+        else:
+            tail = euler_product_upper(ctx, cert.exponent - 1)
+        return cert.bound * pow_upper(ell, cert.exponent - 1) * tail
+
+    @pytest.mark.parametrize("name", ["mu", "mu-squared", "phi-over-n",
+                                      "indicator:6"])
+    @pytest.mark.parametrize("V", [2, 5, 7])
+    def test_no_wider_than_the_shift_at_the_cutoff(self, name, V):
+        spec, ctx = catalog_spec(name), SmoothContext(V)
+        for X in (1, 50, 10_000):
+            for ell in smooth_up_to(ctx, 60):
+                got = wintner_restricted(spec, ctx, ell, X).radius
+                assert got <= self.shift_at_cutoff(spec, ctx, ell, X)
+
+    def test_tighter_at_mu(self):
+        spec, ctx = mobius_spec(), SmoothContext(5)
+        for ell, old, new in ((2, 13.29, 12.80), (12, 8.49, 7.11)):
+            got = wintner_restricted(spec, ctx, ell, 10_000).radius
+            assert round(float(got), 2) == new
+            assert round(float(self.shift_at_cutoff(spec, ctx, ell,
+                                                    10_000)), 2) == old
+
+    @pytest.mark.parametrize("V", [2, 3, 5, 7, 11])
+    def test_exact_mu_coefficients_inside(self, V):
+        # F' = mu * mu is multiplicative with F'(p) = -2, F'(p**2) = 1 and
+        # 0 beyond, so the smooth Wintner sum at smooth ell is the Euler
+        # product over p <= V of the local terms with e >= v_p(ell)
+        ctx = SmoothContext(V)
+        for ell in smooth_up_to(ctx, 60):
+            exact = Fraction(1)
+            for p in ctx.primes:
+                v = 0
+                while ell % p ** (v + 1) == 0:
+                    v += 1
+                local = (1, Fraction(-2, p), Fraction(1, p * p))
+                exact *= sum(local[v:], Fraction(0))
+            assert wintner_restricted(mobius_spec(), ctx, ell).contains(
+                exact), (V, ell)
 
 
 class TestCarmichaelFormula:

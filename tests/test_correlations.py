@@ -8,6 +8,7 @@ import pytest
 
 from ramsmooth import (
     BasicHypothesisError,
+    BoundedValue,
     CorrelationTable,
     SmoothContext,
     build_range_q,
@@ -15,6 +16,7 @@ from ramsmooth import (
     correlation,
     euler_phi,
     expansion_tail_term,
+    interval_sum,
     mobius,
     mobius_switch_rhs,
     point_mass,
@@ -27,6 +29,7 @@ from ramsmooth import (
     spec_from_table,
     tail_split_identity,
 )
+from ramsmooth.smooth import best_tail_params
 from conftest import make_random_table
 
 
@@ -309,6 +312,23 @@ class TestSmoothWintner:
                          Fraction(0)) if ctx.is_smooth(ell) else 0
             assert got.center == oracle
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_radius_is_the_table_bound(self, seed):
+        # |C'(d)| <= 2**pi(V) max|C| on smooth d, times the Rankin tail of
+        # the smooth K > X // ell at the shift best there, over ell; the
+        # whole smooth harmonic series over ell when X < ell
+        table = make_random_table(random.Random(seed), seed, max_N=30,
+                                  q_choices=(2, 3, 4, 5, 6))
+        for V, ell, X in ((2, 1, 1 << 10), (3, 2, 500), (3, 6, 5000),
+                          (5, 4, 1 << 12), (5, 15, 300), (3, 9, 5),
+                          (5, 12, 11), (7, 7, 6)):
+            ctx = SmoothContext(V)
+            bound = 2 ** ctx.prime_count * table.max_abs()
+            tail = best_tail_params(ctx, Fraction(0), X // ell)[1] \
+                if X >= ell else ctx.smooth_harmonic
+            got = table.smooth_wintner(ctx, ell, X)
+            assert got.radius == bound * tail / ell, (V, ell, X)
+
     @pytest.mark.parametrize("seed, Qs, V, ell, support, message", [
         (None, None, 5, 1, 1, "claimed transform support 1 refuted: "
                               "C'(3) = 18"),
@@ -394,6 +414,25 @@ class TestExpansionTailTerm:
         assert term.value.center == expected
         assert term.value.radius < Fraction(1, 4)
         assert term.value.excludes(0)
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_index_tail_is_the_table_bound(self, seed):
+        # the ell > L mass: a * 2**pi(V) max|C| smooth_harmonic times the
+        # Rankin tail at L with epsilon = 0
+        table = make_random_table(random.Random(seed), seed, max_N=30,
+                                  q_choices=(2, 3, 4, 5, 6))
+        for V, a, L, X in ((2, 1, 8, 1 << 10), (3, 5, 12, 700),
+                           (5, 2, 30, 1 << 12)):
+            ctx = SmoothContext(V)
+            term = expansion_tail_term(table, ctx, a, L, X)
+            total = interval_sum(
+                (BoundedValue.exact(table.coefficient(ell))
+                 - table.smooth_wintner(ctx, ell, X)).scale(
+                    ramanujan_sum(ell, a))
+                for ell in smooth_up_to(ctx, L))
+            index_tail = a * 2 ** ctx.prime_count * table.max_abs() * \
+                ctx.smooth_harmonic * best_tail_params(ctx, Fraction(0), L)[1]
+            assert term.value == total.widen(index_tail), (V, a, L)
 
     def test_window_partition(self):
         # remainders at V versus V' differ by the smooth-window mass:

@@ -254,6 +254,15 @@ class TestRankinTail:
         else:
             assert best_tail_params(SmoothContext(Q), eps, X) == full
 
+    def test_shared_context_matches_fresh_ones(self):
+        # a context keeps the X-free part of the estimates per epsilon
+        # across cutoffs; each result is still a fresh context's
+        ctx = SmoothContext(7)
+        for eps in (Fraction(0), Fraction(1, 2)):
+            for X in (1, 37, 10 ** 4, 10 ** 9, 10 ** 400):
+                assert best_tail_params(ctx, eps, X) == \
+                    best_tail_params(SmoothContext(7), eps, X)
+
     @settings(max_examples=25)
     @given(st.integers(min_value=2, max_value=13),
            st.integers(min_value=1, max_value=10 ** 6))

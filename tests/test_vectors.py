@@ -78,7 +78,7 @@ def wintner_oracle(spec, ctx, ell, X):
     if inner >= 1:
         for K in smooth_up_to(ctx, inner):
             partial += spec.transform_value(ell * K) / (ell * K)
-        delta, _ = best_tail_params(ctx, cert.exponent, X)
+        delta, _ = best_tail_params(ctx, cert.exponent, inner)
         tail = smooth_tail_bound(ctx, cert.exponent, delta, inner)
     else:
         tail = euler_product_upper(ctx, cert.exponent - 1)
