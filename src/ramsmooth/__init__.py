@@ -70,17 +70,14 @@ from .functions import (
     ramanujan_modulus,
     totient_ratio_spec,
     range_q,
-    range_q_constant_one,
     range_q_ramanujan,
     smooth_restrict,
     spec_from_table,
 )
 from .intervals import BoundedValue, interval_sum
 from .orthogonality import (
-    OrthogonalityResult,
     absolute_convergence_bound,
     orthogonality_exact,
-    orthogonality_result,
     orthogonality_truncated,
     orthogonality_truncated_auto,
     pair_series_exact,

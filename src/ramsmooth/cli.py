@@ -2,7 +2,7 @@
 
 Subcommands run named identity suites and experiments, writing CSV/JSON
 artifacts whose numbers are exact rational strings `p/q` (or explicit
-center/radius pairs); repeated runs with the same flags and seed are
+center/radius pairs); repeated runs with the same flags are
 byte-identical.  Exit codes: 0 all checks pass, 1 a check failed (an
 identity, or an internal arithmetic audit), 2 a certified check stayed
 undecided, 3 usage or input errors, input too large included.
@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,17 +45,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters; everything downstream is deterministic in
-    (config, seed)."""
-
-    command: str
-    outdir: Path
-    seed: int = 1
-    options: dict = field(default_factory=dict)
 
 
 def _rat(x: Fraction) -> str:
@@ -121,34 +109,32 @@ def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_coeffs(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    spec = _load_spec(o["function"])
-    ctx = SmoothContext(o["V"])
+def _cmd_coeffs(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    spec = _load_spec(ns.function)
+    ctx = SmoothContext(ns.V)
     failures = []
     rows = []
-    for ell in range(1, o["ell_max"] + 1):
+    for ell in range(1, ns.ell_max + 1):
         rec = coefficient_record(spec, ctx, ell)
         rows.append([ell, _rat(rec.wintner.center), _rat(rec.wintner.radius),
                      _rat(rec.carmichael.center), _rat(rec.carmichael.radius),
                      rec.method])
         if not rec.consistent:
             failures.append({"check": "coefficient-overlap", "ell": ell})
-    _write_csv(cfg.outdir / "coeffs.csv",
+    _write_csv(ns.out / "coeffs.csv",
                ["ell", "win_center", "win_radius", "car_center", "car_radius",
                 "method"], rows)
     print(f"coeffs: wrote {len(rows)} records for {spec.name} at V={ctx.Q}")
     return (EXIT_FAIL if failures else EXIT_PASS), failures
 
 
-def _cmd_expand(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    spec = _load_spec(o["function"])
-    ctx = SmoothContext(o["V"])
+def _cmd_expand(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    spec = _load_spec(ns.function)
+    ctx = SmoothContext(ns.V)
     failures = []
     reports = []
-    for a in o["shifts"]:
-        rep = expansion_partial(spec, ctx, a, o["L"])
+    for a in ns.shifts:
+        rep = expansion_partial(spec, ctx, a, ns.L)
         reports.append({
             "a": a,
             "partial": _interval(rep.partial),
@@ -159,17 +145,16 @@ def _cmd_expand(cfg: RunConfig) -> tuple[int, list[dict]]:
         })
         if not rep.consistent:
             failures.append({"check": "expansion-residual", "a": a})
-    _write_json(cfg.outdir / "expand.json", {
-        "function": spec.name, "V": ctx.Q, "L": o["L"], "points": reports})
+    _write_json(ns.out / "expand.json", {
+        "function": spec.name, "V": ctx.Q, "L": ns.L, "points": reports})
     print(f"expand: {len(reports)} points for {spec.name} at V={ctx.Q}, "
-          f"L={o['L']}")
+          f"L={ns.L}")
     return (EXIT_FAIL if failures else EXIT_PASS), failures
 
 
-def _cmd_orthogonality(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    ctx = SmoothContext(o["Q"])
-    indices = smooth_up_to(ctx, o["max"])
+def _cmd_orthogonality(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    ctx = SmoothContext(ns.Q)
+    indices = smooth_up_to(ctx, ns.max)
     failures = []
     rows = []
     for q in indices:
@@ -182,18 +167,17 @@ def _cmd_orthogonality(cfg: RunConfig) -> tuple[int, list[dict]]:
                                  "q": q, "ell": ell, "got": _rat(value)})
             row.append(_rat(value))
         rows.append(row)
-    _write_csv(cfg.outdir / "orthogonality.csv",
+    _write_csv(ns.out / "orthogonality.csv",
                ["q\\ell"] + [str(ell) for ell in indices], rows)
     print(f"orthogonality: {len(indices)}x{len(indices)} grid at Q={ctx.Q}, "
           f"{len(failures)} mismatches")
     return (EXIT_FAIL if failures else EXIT_PASS), failures
 
 
-def _cmd_correlation(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    f_spec = _load_spec(o["f"])
-    g = _load_range_q(o["g"], o.get("Q"))
-    table = CorrelationTable(f_spec, g, o["N"])
+def _cmd_correlation(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    f_spec = _load_spec(ns.f)
+    g = _load_range_q(ns.g, ns.Q)
+    table = CorrelationTable(f_spec, g, ns.N)
     failures = []
     deviations = table.decomposition_deviations()
     if deviations:
@@ -210,12 +194,12 @@ def _cmd_correlation(cfg: RunConfig) -> tuple[int, list[dict]]:
         coeff_rows.append([ell, _rat(formula), _rat(mean), _rat(transform_side)])
         if not formula == mean == transform_side:
             failures.append({"check": "coefficient-three-way", "ell": ell})
-    _write_csv(cfg.outdir / "correlation.csv", ["a", "value"],
+    _write_csv(ns.out / "correlation.csv", ["a", "value"],
                [[a, _rat(table.value(a))] for a in range(1, table.period + 1)])
-    _write_csv(cfg.outdir / "correlation_coeffs.csv",
+    _write_csv(ns.out / "correlation_coeffs.csv",
                ["ell", "formula", "carmichael_mean", "transform_side"],
                coeff_rows)
-    _write_json(cfg.outdir / "correlation_summary.json", {
+    _write_json(ns.out / "correlation_summary.json", {
         "f": f_spec.name, "g_range": table.g.Q, "N": table.N,
         "period": table.period,
         "decomposition_max_deviation": _rat(
@@ -227,17 +211,16 @@ def _cmd_correlation(cfg: RunConfig) -> tuple[int, list[dict]]:
     return (EXIT_FAIL if failures else EXIT_PASS), failures
 
 
-def _cmd_counterexample(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    report = counterexample_report(o["N"], o["Q"], o["n0"], o["q0"])
+def _cmd_counterexample(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    report = counterexample_report(ns.N, ns.Q, ns.n0, ns.q0)
     obj = {
-        "instance": {"N": o["N"], "Q": o["Q"], "n0": o["n0"], "q0": o["q0"]},
+        "instance": {"N": ns.N, "Q": ns.Q, "n0": ns.n0, "q0": ns.q0},
         "a": report.a,
         "lhs": _rat(report.lhs),
         "rhs": _rat(report.rhs),
         "defect": _rat(report.defect),
     }
-    _write_json(cfg.outdir / "reef_report.json", obj)
+    _write_json(ns.out / "reef_report.json", obj)
     print(f"counterexample: lhs={_rat(report.lhs)} rhs={_rat(report.rhs)} "
           f"defect={_rat(report.defect)}")
     failures = []
@@ -246,21 +229,20 @@ def _cmd_counterexample(cfg: RunConfig) -> tuple[int, list[dict]]:
     return (EXIT_FAIL if failures else EXIT_PASS), failures
 
 
-def _cmd_conjecture1(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    for key in ("index_bound", "shift_bound"):
-        if o[key] is None:  # one table period, under the table budget
-            o[key] = table_period(o["Q"])
+def _cmd_conjecture1(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    # by default one table period, under the table budget
+    index_bound = ns.index_bound or table_period(ns.Q)
+    shift_bound = ns.shift_bound or table_period(ns.Q)
     # built after the budget check: its cost grows with Q
-    ctx = SmoothContext(o["Q"])
+    ctx = SmoothContext(ns.Q)
     outcome = find_shifted_orthogonality_violations(
         ctx,
-        index_bound=o["index_bound"],
-        shift_bound=o["shift_bound"],
-        x_start=o["x_start"],
-        x_cap=o["x_cap"],
-        target_radius=o["target_radius"],
-        stop_after=o["max_witnesses"],
+        index_bound=index_bound,
+        shift_bound=shift_bound,
+        x_start=ns.x_start,
+        x_cap=ns.x_cap,
+        target_radius=ns.target_radius,
+        stop_after=ns.max_witnesses,
     )
 
     def point_obj(p):
@@ -272,7 +254,7 @@ def _cmd_conjecture1(cfg: RunConfig) -> tuple[int, list[dict]]:
             "delta": _rat(p.delta),
         }
 
-    _write_json(cfg.outdir / "conjecture1.json", {
+    _write_json(ns.out / "conjecture1.json", {
         "Q": ctx.Q,
         "points_checked": outcome.points_checked,
         "witnesses": [point_obj(p) for p in outcome.witnesses],
@@ -287,23 +269,22 @@ def _cmd_conjecture1(cfg: RunConfig) -> tuple[int, list[dict]]:
     return EXIT_PASS, []
 
 
-def _cmd_reef_residual(cfg: RunConfig) -> tuple[int, list[dict]]:
-    o = cfg.options
-    if o["n0"] is not None or o["q0"] is not None:
-        if None in (o["n0"], o["q0"], o["Q"]):
+def _cmd_reef_residual(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    if ns.n0 is not None or ns.q0 is not None:
+        if None in (ns.n0, ns.q0, ns.Q):
             raise _UsageError("--n0, --q0 and --Q must be given together")
-        instance = ReefInstance(N=o["N"], Q=o["Q"], n0=o["n0"], q0=o["q0"])
+        instance = ReefInstance(N=ns.N, Q=ns.Q, n0=ns.n0, q0=ns.q0)
         table = instance.table()
-        descriptor = {"N": o["N"], "Q": o["Q"], "n0": o["n0"], "q0": o["q0"]}
+        descriptor = {"N": ns.N, "Q": ns.Q, "n0": ns.n0, "q0": ns.q0}
     else:
-        if o["f"] is None or o["g"] is None:
+        if ns.f is None or ns.g is None:
             raise _UsageError("give --n0/--q0/--Q or --f/--g")
-        f_spec = _load_spec(o["f"])
-        g = _load_range_q(o["g"], o.get("Q"))
-        table = CorrelationTable(f_spec, g, o["N"])
-        descriptor = {"f": f_spec.name, "g_range": table.g.Q, "N": o["N"]}
-    profile = residual_profile(table, o["a_max"], o["delta"])
-    _write_json(cfg.outdir / "reef_residual.json", {
+        f_spec = _load_spec(ns.f)
+        g = _load_range_q(ns.g, ns.Q)
+        table = CorrelationTable(f_spec, g, ns.N)
+        descriptor = {"f": f_spec.name, "g_range": table.g.Q, "N": ns.N}
+    profile = residual_profile(table, ns.a_max, ns.delta)
+    _write_json(ns.out / "reef_residual.json", {
         "instance": descriptor,
         "delta": _rat(profile.delta),
         "envelope_cut": profile.envelope_cut,
@@ -317,9 +298,9 @@ def _cmd_reef_residual(cfg: RunConfig) -> tuple[int, list[dict]]:
     return EXIT_PASS, []
 
 
-def _cmd_verify_all(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _cmd_verify_all(ns: argparse.Namespace) -> tuple[int, list[dict]]:
     failures: list[dict] = []
-    rng = random.Random(cfg.seed)
+    rng = random.Random(ns.seed)
 
     def check(name: str, ok: bool, **detail):
         line = "pass" if ok else "FAIL"
@@ -408,7 +389,6 @@ def _build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", default=None,
                         help=f"output directory (or ${OUTDIR_ENV}; default .)")
-    shared.add_argument("--seed", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -466,7 +446,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--a-max", type=int, required=True, dest="a_max")
     p.add_argument("--delta", type=parse_rational, default="1/4")
 
-    add_parser("verify-all", help="run the compact identity suite")
+    p = add_parser("verify-all", help="run the compact identity suite")
+    p.add_argument("--seed", type=int, default=1,
+                   help="seed of the random correlation instances")
     return parser
 
 
@@ -478,13 +460,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    outdir = Path(ns.out or os.environ.get(OUTDIR_ENV) or ".")
-    options = {k: v for k, v in vars(ns).items()
-               if k not in ("command", "out", "seed")}
-    cfg = RunConfig(command=ns.command, outdir=outdir, seed=ns.seed,
-                    options=options)
+    ns.out = Path(ns.out or os.environ.get(OUTDIR_ENV) or ".")
     try:
-        code, failures = _COMMANDS[cfg.command](cfg)
+        code, failures = _COMMANDS[ns.command](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -499,8 +477,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if failures:
-        _write_json(cfg.outdir / "failures.json",
-                    {"command": cfg.command, "failures": failures})
+        _write_json(ns.out / "failures.json",
+                    {"command": ns.command, "failures": failures})
         print(f"{len(failures)} check(s) failed; manifest in failures.json")
     return code
 

@@ -15,7 +15,7 @@ cutoff until a radius target is met rather than ever loosening a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -280,13 +280,12 @@ def _index_tail(spec: ArithmeticFunctionSpec, ctx: SmoothContext, L: int,
 
 @dataclass(frozen=True)
 class CoefficientRecord:
-    """Both coefficient computations at one index, plus diagnostics."""
+    """Both coefficient computations at one index."""
 
     ell: int
     wintner: BoundedValue
     carmichael: BoundedValue
     method: str
-    empirical: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
 
     @property
     def consistent(self) -> bool:
@@ -295,8 +294,7 @@ class CoefficientRecord:
 
 
 def coefficient_record(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                       ell: int, X: int = DEFAULT_CUTOFF,
-                       empirical_xs: Sequence[int] = ()) -> CoefficientRecord:
+                       ell: int, X: int = DEFAULT_CUTOFF) -> CoefficientRecord:
     """Build the record at cutoff X; off the smooth support both sides are
     exactly 0.  Each side takes its tail exponent from its own certificate."""
     if not ctx.is_smooth(ell):
@@ -305,9 +303,7 @@ def coefficient_record(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     win = wintner_restricted(spec, ctx, ell, X)
     car = carmichael_formula(spec, ctx, ell, X)
     method = "exact" if win.is_exact and car.is_exact else "truncated"
-    empirical = tuple(carmichael_empirical(spec, ell, empirical_xs)) \
-        if empirical_xs else ()
-    return CoefficientRecord(ell, win, car, method, empirical)
+    return CoefficientRecord(ell, win, car, method)
 
 
 def weighted_decay_check(records: Sequence[CoefficientRecord],

@@ -15,7 +15,7 @@ identity are those of the function layer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -290,52 +290,33 @@ class CorrelationTable:
 
     # -- smooth Wintner sums ----------------------------------------------
 
-    def smooth_wintner(self, ctx: SmoothContext, ell: int, X: int,
-                       transform_support: int | None = None) -> BoundedValue:
+    def smooth_wintner(self, ctx: SmoothContext, ell: int,
+                       X: int) -> BoundedValue:
         """Certified sum over smooth multiples d of ell of C'(N, d)/d.
 
         Exactly 0 (term-free) when ell is not smooth.  Otherwise the
         coefficients layer's multiples_sum on self.function, under
         |C'(N, d)| <= 2**omega(d) * max|C| <= 2**prime_count * max|C| on
         smooth d.
-
-        transform_support is a caller-asserted bound beyond which C'
-        vanishes; it is audited against every transform value this sum
-        reads, and makes the result exact once X covers it.
         """
         if ell < 1:
             raise ValueError("coefficient index must be >= 1")
         if not ctx.is_smooth(ell):
             return BoundedValue.exact(0)
-        if transform_support is not None:
-            if X >= ell:  # else no multiple of ell is read
-                ts, nums, den = self.function.smooth_vector(ctx, X, False)
-                bad = np.flatnonzero((ts % ell == 0) & (ts > transform_support)
-                                     & (nums != 0))
-                if len(bad):
-                    i = bad[0]
-                    raise ArithmeticError(
-                        f"claimed transform support {transform_support} "
-                        f"refuted: C'({ts[i]}) = {Fraction(int(nums[i]), den)}")
-            if transform_support <= X:
-                return BoundedValue.exact(self.function.smooth_sum(
-                    ctx, X, False, lambda ts: ts % ell == 0))
         return multiples_sum(self.function, ctx, ell, X,
                              2 ** ctx.prime_count * self.max_abs(),
                              Fraction(0))
 
     # -- the conditionally convergent full series --------------------------------
 
-    def full_series_estimate(self, ell: int, X: int,
-                             window_start: int | None = None,
-                             ) -> "SeriesEstimate":
+    def full_series_estimate(self, ell: int, X: int) -> "SeriesEstimate":
         """Empirical estimate of sum over all multiples d of ell of C'(N,d)/d.
 
         The terms do not decay absolutely, so no rigorous tail radius
         exists; the series converges in the ordered sense only.  Partial
         sums are computed exactly in fixed-point integer arithmetic; the
-        reported center is their mean over the window [window_start, X]
-        of cutoffs and the radius the maximum in-window deviation plus
+        reported center is their mean over the window [X // 2, X] of
+        cutoffs and the radius the maximum in-window deviation plus
         the fixed-point slack.  The radius is an observed oscillation
         amplitude, not a certified bound; it is flagged accordingly.
         """
@@ -343,9 +324,6 @@ class CorrelationTable:
             raise ValueError("coefficient index must be >= 1")
         if X < 4 * ell:
             raise ValueError("window too small for an estimate")
-        window_start = X // 2 if window_start is None else window_start
-        if not ell <= window_start < X:
-            raise ValueError("need ell <= window_start < X")
         cprime, den = self._transform_batch(X)
         ds = np.arange(ell, X + 1, ell, dtype=np.int64)
         vals = cprime[ds]
@@ -364,10 +342,9 @@ class CorrelationTable:
         scale = 1 << bits
         terms = (vals * scale) // ds
         partials = np.cumsum(terms)
-        in_window = partials[ds >= window_start]
+        # X >= 4 ell puts at least two multiples of ell in the window
+        in_window = partials[ds >= X // 2]
         count = len(in_window)
-        if count == 0:
-            raise ValueError("no cutoffs inside the window")
         # the window sum exceeds int64; fold exactly in Python integers
         total = int(in_window.astype(object).sum())
         mean = Fraction(total, count * scale * den)
@@ -377,9 +354,9 @@ class CorrelationTable:
         # floor rounding loses < 1/scale per term; doubled so it covers
         # both the shifted mean and the shifted deviations
         slack = Fraction(2 * len(terms), scale * den)
-        return SeriesEstimate(
-            ell=ell, cutoff=X, window_start=window_start,
-            value=BoundedValue(mean, dev + slack), term_count=len(terms))
+        return SeriesEstimate(ell=ell, cutoff=X,
+                              value=BoundedValue(mean, dev + slack),
+                              term_count=len(terms))
 
     def _transform_batch(self, X: int) -> tuple[np.ndarray, int]:
         """(den * C'(0..X) as an integer array, den), C'(0) = 0, sieved from
@@ -399,7 +376,6 @@ class SeriesEstimate:
 
     ell: int
     cutoff: int
-    window_start: int
     value: BoundedValue
     term_count: int
     certified: bool = False
@@ -456,9 +432,7 @@ def tail_split_identity(table: CorrelationTable, ctx: SmoothContext, ell: int,
     if estimate_cutoff is not None:
         full = table.full_series_estimate(ell, estimate_cutoff)
         if ctx.is_smooth(ell):
-            estimate = SeriesEstimate(
-                ell=ell, cutoff=full.cutoff, window_start=full.window_start,
-                value=full.value - smooth_side, term_count=full.term_count)
+            estimate = replace(full, value=full.value - smooth_side)
         else:
             estimate = full
     return TailSplitRecord(ell=ell, smooth_side=smooth_side, formula=formula,
@@ -479,17 +453,13 @@ class ExpansionTailTerm:
 
 
 def expansion_tail_term(table: CorrelationTable, ctx: SmoothContext, a: int,
-                        L: int, X: int,
-                        transform_support: int | None = None,
-                        ) -> ExpansionTailTerm:
+                        L: int, X: int) -> ExpansionTailTerm:
     """Certified evaluation of the correction term.
 
     Each per-ell remainder is formula - smooth Wintner part (an exact
     rational minus a certified interval), so the whole term inherits a
     certified radius; the ell > L mass is bounded by a Rankin tail.  For
     L at least the range bound Q the formula part vanishes in the tail.
-    A caller-asserted (audited) finite transform support makes the term
-    exact once L and X cover it.
     """
     if a < 1:
         raise ValueError("shift must be >= 1")
@@ -498,15 +468,12 @@ def expansion_tail_term(table: CorrelationTable, ctx: SmoothContext, a: int,
     pieces = []
     for ell in smooth_up_to(ctx, L):
         remainder = BoundedValue.exact(table.coefficient(ell)) - \
-            table.smooth_wintner(ctx, ell, X, transform_support)
+            table.smooth_wintner(ctx, ell, X)
         pieces.append(remainder.scale(ramanujan_sum(ell, a)))
     total = interval_sum(pieces)
     # ell > L: coefficient(ell) = 0 there, |smooth_wintner| <=
     # 2**pi(V) max|C| smooth_harmonic / ell, |c_ell(a)| <= a.
-    if transform_support is not None and L >= transform_support:
-        index_tail = Fraction(0)
-    else:
-        index_tail = rankin_index_tail(
-            ctx, L, a, 2 ** ctx.prime_count * table.max_abs(), Fraction(0))
+    index_tail = rankin_index_tail(
+        ctx, L, a, 2 ** ctx.prime_count * table.max_abs(), Fraction(0))
     return ExpansionTailTerm(V=ctx.Q, a=a, cutoff=L,
                              value=total.widen(index_tail))

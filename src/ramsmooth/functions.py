@@ -739,10 +739,6 @@ def range_q(spec: ArithmeticFunctionSpec, Q: int | None = None,
                              for d in range(1, support + 1)})
 
 
-def range_q_constant_one() -> RangeQFunction:
-    return range_q(constant_one())
-
-
 def range_q_ramanujan(q0: int, Q: int | None = None) -> RangeQFunction:
     """c_{q0} as a range-Q function (its transform lives on divisors of q0)."""
     return range_q(ramanujan_modulus(q0), Q)

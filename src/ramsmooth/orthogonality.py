@@ -11,11 +11,10 @@ different evaluators guard against transcription errors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, euler_phi, mobius, ramanujan_sum
+from .arith import divisors, mobius, ramanujan_sum
 from .intervals import BoundedValue
 from .smooth import SmoothContext, SmoothSeries, best_tail_params, \
     refine_cutoff, smooth_up_to
@@ -142,30 +141,3 @@ def absolute_convergence_bound(ctx: SmoothContext, q: int, ell: int,
     tail = q * ell * best_tail_params(ctx, Fraction(0), X)[1]
     return BoundedValue(partial + tail / 2, tail / 2)
 
-
-@dataclass(frozen=True)
-class OrthogonalityResult:
-    """One (q, ell) cell: both evaluators and the expected collapse."""
-
-    q: int
-    ell: int
-    exact_value: Fraction
-    truncated: BoundedValue
-    expected: Fraction
-
-    @property
-    def consistent(self) -> bool:
-        return self.exact_value == self.expected and \
-            self.truncated.contains(self.expected)
-
-
-def orthogonality_result(ctx: SmoothContext, q: int, ell: int, X: int,
-                         series: SmoothSeries | None = None) -> OrthogonalityResult:
-    expected = Fraction(euler_phi(ell)) if q == ell else Fraction(0)
-    return OrthogonalityResult(
-        q=q,
-        ell=ell,
-        exact_value=orthogonality_exact(q, ell),
-        truncated=orthogonality_truncated(ctx, q, ell, X, series),
-        expected=expected,
-    )

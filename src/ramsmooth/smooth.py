@@ -319,6 +319,3 @@ class SmoothSeries:
         if i == 0:
             return Fraction(0)
         return Fraction(self._prefix[i - 1], self._denom)
-
-    def count_up_to(self, Y) -> int:
-        return bisect.bisect_right(self.values, Y)

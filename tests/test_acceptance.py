@@ -75,7 +75,7 @@ def _catalog_bh_instances():
     singles = [rs.point_mass(2), rs.point_mass(7), rs.constant_one(),
                rs.mobius_spec()]
     ranges = [rs.range_q_ramanujan(3, 5), rs.range_q_ramanujan(4, 6),
-              rs.range_q_constant_one()]
+              rs.range_q(rs.constant_one())]
     for f in singles:
         for g in ranges:
             yield rs.CorrelationTable(f, g, 20)

@@ -370,7 +370,7 @@ _FLAGS = {
     "reef-residual": {"--N": _N, "--Q": _Q, "--n0": _BOUND, "--q0": _Q,
                       "--f": _FUNCTION, "--g": _RANGE_Q, "--a-max": _COUNT,
                       "--delta": _RATIONAL},
-    "verify-all": {},
+    "verify-all": {"--seed": ["1", "-1", "x"]},
 }
 
 
@@ -392,7 +392,7 @@ _REQUIRED = {
 @given(data=st.data())
 def test_any_argv_exits_with_a_code(command, data):
     argv = [command]
-    for flag, values in {**_FLAGS[command], "--seed": ["1", "-1", "x"]}.items():
+    for flag, values in _FLAGS[command].items():
         drawn = st.sampled_from(values)
         if flag not in _REQUIRED[command]:
             drawn = st.none() | drawn
@@ -410,8 +410,22 @@ def test_any_argv_exits_with_a_code(command, data):
 
 
 def test_verify_all_passes(tmp_path):
-    assert run(["verify-all", "--seed", "1"], tmp_path) == 0
-    assert not (tmp_path / "failures.json").exists()
+    for seed in ("1", "2"):
+        assert run(["verify-all", "--seed", seed], tmp_path) == 0
+        assert not (tmp_path / "failures.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--function", "mu", "--V", "3", "--ell-max", "2"],
+    ["counterexample", "--N", "5", "--Q", "3", "--n0", "2", "--q0", "3"],
+])
+def test_seed_belongs_to_verify_all_only(tmp_path, capsys, argv):
+    # no other subcommand draws anything at random
+    assert run([*argv, "--seed", "1"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "--seed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCommandsSmoke:

@@ -20,9 +20,8 @@ from ramsmooth import (
     mobius,
     mobius_switch_rhs,
     point_mass,
-    ramanujan_modulus,
     ramanujan_sum,
-    range_q_constant_one,
+    range_q,
     range_q_ramanujan,
     smooth_restrict,
     smooth_up_to,
@@ -62,7 +61,7 @@ class TestCorrelation:
         assert all(correlation(f, g, 20, a) == 0 for a in range(1, 15))
 
     def test_all_ones(self):
-        g = range_q_constant_one()
+        g = range_q(constant_one())
         assert correlation(constant_one(), g, 25, 7) == 25
 
     def test_range_must_fit_length(self):
@@ -138,7 +137,7 @@ class TestTable:
                 assert table.decomposition_rhs(a) == table.value(a)
 
     def test_constant_g_decomposition(self):
-        table = CorrelationTable(point_mass(3), range_q_constant_one(), 10)
+        table = CorrelationTable(point_mass(3), range_q(constant_one()), 10)
         assert table.period == 1
         assert table.decomposition_rhs(1) == table.value(1) == 1
 
@@ -278,24 +277,6 @@ class TestSmoothWintner:
         got = table.smooth_wintner(SmoothContext(2), 3, 1 << 12)
         assert got.is_exact and got.center == 0
 
-    def test_finite_support_exact(self):
-        # f = c_3 against g = c_3 over a full period: C = period * c_3,
-        # transform supported on divisors of 3
-        table = CorrelationTable(ramanujan_modulus(3), range_q_ramanujan(3, 3), 6)
-        ctx = SmoothContext(5)
-        got = table.smooth_wintner(ctx, 3, 1 << 10, transform_support=3)
-        assert got.is_exact and got.center == 6  # 6 * (c_3)'(3)/3 = 6*3/3... C'(3)=18
-        got1 = table.smooth_wintner(ctx, 1, 1 << 10, transform_support=3)
-        assert got1.is_exact
-        assert got1.center == table.transform_value(1) + \
-            table.transform_value(3) / 3
-
-    def test_bad_support_claim_refuted(self):
-        table = CorrelationTable(ramanujan_modulus(3), range_q_ramanujan(3, 3), 6)
-        with pytest.raises(ArithmeticError):
-            table.smooth_wintner(SmoothContext(5), 1, 1 << 10,
-                                 transform_support=1)
-
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_matches_per_index_oracle(self, seed):
         # sum over smooth d <= X with ell | d of C'(d)/d, one transform
@@ -328,30 +309,6 @@ class TestSmoothWintner:
                 if X >= ell else ctx.smooth_harmonic
             got = table.smooth_wintner(ctx, ell, X)
             assert got.radius == bound * tail / ell, (V, ell, X)
-
-    @pytest.mark.parametrize("seed, Qs, V, ell, support, message", [
-        (None, None, 5, 1, 1, "claimed transform support 1 refuted: "
-                              "C'(3) = 18"),
-        (None, None, 3, 1, 2, "claimed transform support 2 refuted: "
-                              "C'(3) = 18"),
-        (7, (4, 6), 3, 2, 4, "claimed transform support 4 refuted: "
-                             "C'(6) = -73/18"),
-        (7, (4, 6), 5, 3, 5, "claimed transform support 5 refuted: "
-                             "C'(6) = -73/18"),
-    ])
-    def test_support_refutation_names_first_index(self, seed, Qs, V, ell,
-                                                  support, message):
-        # the first smooth multiple of ell past the claim with C' != 0
-        if seed is None:
-            table = CorrelationTable(ramanujan_modulus(3),
-                                     range_q_ramanujan(3, 3), 6)
-        else:
-            table = make_random_table(random.Random(seed), 0, max_N=30,
-                                      q_choices=Qs)
-        with pytest.raises(ArithmeticError) as err:
-            table.smooth_wintner(SmoothContext(V), ell, 1 << 12,
-                                 transform_support=support)
-        assert str(err.value) == message
 
 
 class TestFullSeriesEstimate:
@@ -394,12 +351,6 @@ class TestTailSplit:
 
 
 class TestExpansionTailTerm:
-    def test_finite_support_vanishes(self):
-        table = CorrelationTable(ramanujan_modulus(3), range_q_ramanujan(3, 3), 6)
-        term = expansion_tail_term(table, SmoothContext(5), a=1, L=16,
-                                   X=1 << 12, transform_support=3)
-        assert term.value.center == 0 and term.value.radius == 0
-
     def test_reproduces_counterexample_defect(self):
         # the correction term must equal (expansion rhs) - (true value),
         # which at the canonical shift is mu^2/phi - phi

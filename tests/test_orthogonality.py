@@ -12,7 +12,6 @@ from ramsmooth import (
     absolute_convergence_bound,
     euler_phi,
     orthogonality_exact,
-    orthogonality_result,
     orthogonality_truncated,
     orthogonality_truncated_auto,
     pair_series_exact,
@@ -126,11 +125,6 @@ class TestSeries:
         with pytest.raises(ArithmeticError):
             orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4),
                                          x_start=64, x_cap=128)
-
-    def test_result_record(self):
-        ctx = SmoothContext(3)
-        res = orthogonality_result(ctx, 6, 6, 1 << 12)
-        assert res.expected == 2 and res.consistent
 
 
 class TestAbsoluteConvergence:

@@ -18,7 +18,7 @@ from ramsmooth import (
     orthogonality_exact,
     point_mass,
     ramanujan_sum,
-    range_q_constant_one,
+    range_q,
     range_q_ramanujan,
     reef_report,
     reef_rhs,
@@ -62,7 +62,7 @@ class TestReefRhs:
 
     def test_trivial_range_one_expansion_holds(self):
         # with g identically 1 the expansion is exact for every shift
-        table = CorrelationTable(point_mass(4), range_q_constant_one(), 9)
+        table = CorrelationTable(point_mass(4), range_q(constant_one()), 9)
         for a in range(1, 12):
             assert reef_rhs(table, a) == table.value(a)
 
@@ -235,7 +235,7 @@ class TestShiftedOrthogonality:
 
 class TestResiduals:
     def test_trivial_instance_all_zero(self):
-        table = CorrelationTable(point_mass(4), range_q_constant_one(), 9)
+        table = CorrelationTable(point_mass(4), range_q(constant_one()), 9)
         profile = residual_profile(table, 9)
         assert all(r.defect == 0 for r in profile.rows)
         assert profile.max_abs_defect == 0

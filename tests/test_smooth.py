@@ -104,7 +104,6 @@ class TestEnumeration:
             acc += Fraction(1, t)
             assert series.harmonic_up_to(t) == acc
         assert series.harmonic_up_to(0) == 0
-        assert series.count_up_to(200) == len(series.values)
 
 
 class TestSiftedCount:
