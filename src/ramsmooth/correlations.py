@@ -19,14 +19,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
-# mobius is not called here, but perfbench/test_perfbench.py checks that
-# tracing rebinds correlations.mobius, so the name stays bound.
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
-    exact_dtype, magnitude, mobius, mobius_sieve, ramanujan_sum, \
+    exact_dtype, factorize, magnitude, mobius, mobius_sieve, ramanujan_sum, \
     ramanujan_sums
 from .coefficients import carmichael_periodic_mean, multiples_sum, \
     rankin_index_tail
@@ -313,20 +311,95 @@ class CorrelationTable:
         """Empirical estimate of sum over all multiples d of ell of C'(N,d)/d.
 
         The terms do not decay absolutely, so no rigorous tail radius
-        exists; the series converges in the ordered sense only.  Partial
-        sums are computed exactly in fixed-point integer arithmetic; the
-        reported center is their mean over the window [X // 2, X] of
-        cutoffs and the radius the maximum in-window deviation plus
-        the fixed-point slack.  The radius is an observed oscillation
-        amplitude, not a certified bound; it is flagged accordingly.
+        exists; the series converges in the ordered sense only.  The
+        estimate (SeriesEstimate.from_terms) averages the exact partial
+        sums over the cutoffs in [X // 2, X], with their observed
+        oscillation as its radius: not a certified bound, and flagged
+        accordingly.
+
+        Only the terms C'(ell k), k <= X // ell, are sieved, through the
+        identity C'(ell k) = sum over m t = k, gcd(m, ell) = 1 of
+        mu(m) H_ell(t), H_ell(t) = sum over e | rad(ell) of
+        mu(e) C((ell / e) t): one convolution of length X // ell
+        (_multiples_transform) instead of a sieve of all of [1, X].
         """
         if ell < 1:
             raise ValueError("coefficient index must be >= 1")
         if X < 4 * ell:
             raise ValueError("window too small for an estimate")
-        cprime, den = self._transform_batch(X)
+        return SeriesEstimate.from_terms(
+            ell, X, self._multiples_transform(ell, X // ell)[1:], self._den)
+
+    def _multiples_twist(self, ell: int) -> np.ndarray:
+        """[den * H_ell(t) for t in 1..period], where
+        H_ell(t) = sum over e | rad(ell) of mu(e) C((ell / e) t).
+
+        H_ell has the table's period.  |H_ell| <= 2**omega(ell) max|C|,
+        so the sum runs in int64 only when that bound on this window
+        fits, else on exact Python ints.
+        """
+        P = self.period
+        primes = [p for p, _ in factorize(ell).factors]
+        window = self._num[:P]
+        dtype = exact_dtype(2 ** len(primes) * magnitude(window))
+        window = window.astype(dtype, copy=False)
+        t = np.arange(1, P + 1, dtype=np.int64)
+        H = np.zeros(P, dtype=dtype)
+        for e in divisors(prod(primes)):
+            H += mobius(e) * window[((ell // e) % P * t - 1) % P]
+        return H
+
+    def _multiples_transform(self, ell: int, K: int) -> np.ndarray:
+        """den * C'(ell k) for 0 <= k <= K as an integer array, C'(0) = 0.
+
+        A squarefree m | ell k splits uniquely as m = e m'' with
+        e | rad(ell) and gcd(m'', ell) = 1, so m'' | k and
+        ell k / m = (ell / e)(k / m''); hence
+        C'(ell k) = sum over m t = k, gcd(m, ell) = 1 of mu(m) H_ell(t)
+        (see _multiples_twist), one Dirichlet sieve of length K.
+        """
+        # den * H_ell(n) for 0 <= n <= K, extended with its period
+        ext = np.resize(np.roll(self._multiples_twist(ell), 1), K + 1)
+        mu = mobius_sieve(K)
+        for p, _ in factorize(ell).factors:
+            mu[p::p] = 0
+        return dirichlet_sieve(ext, mu, K)
+
+    def _transform_batch(self, X: int) -> tuple[np.ndarray, int]:
+        """(den * C'(0..X) as an integer array, den), C'(0) = 0, sieved from
+        the window; the longest sieve so far is kept and sliced.  Read by
+        transform_window and transform_side_coefficient; the full series
+        estimate sieves only the multiples of ell instead."""
+        if self._batch_memo is None or len(self._batch_memo) <= X:
+            # den * C(n) for 0 <= n <= X, C extended with its period
+            ext = np.resize(np.roll(self._num[:self.period], 1), X + 1)
+            self._batch_memo = dirichlet_sieve(ext, mobius_sieve(X), X)
+        return self._batch_memo[:X + 1], self._den
+
+
+@dataclass(frozen=True)
+class SeriesEstimate:
+    """Windowed partial-sum estimate of a conditionally convergent series.
+
+    value.radius is empirical (observed oscillation), never certified."""
+
+    ell: int
+    cutoff: int
+    value: BoundedValue
+    term_count: int
+    certified: bool = False
+
+    @classmethod
+    def from_terms(cls, ell: int, X: int, vals: np.ndarray,
+                   den: int) -> "SeriesEstimate":
+        """The estimate from vals[k - 1] = den * C'(ell k), k <= X // ell.
+
+        Partial sums are computed exactly in fixed-point integer
+        arithmetic; the center is their mean over the cutoffs in
+        [X // 2, X] and the radius the maximum in-window deviation plus
+        the fixed-point slack.
+        """
         ds = np.arange(ell, X + 1, ell, dtype=np.int64)
-        vals = cprime[ds]
         max_c = int(np.abs(vals).max()) if len(vals) else 1
         # Pick the largest fixed-point scale whose per-term products and
         # harmonic-sized cumulative sums provably fit in int64.
@@ -354,31 +427,8 @@ class CorrelationTable:
         # floor rounding loses < 1/scale per term; doubled so it covers
         # both the shifted mean and the shifted deviations
         slack = Fraction(2 * len(terms), scale * den)
-        return SeriesEstimate(ell=ell, cutoff=X,
-                              value=BoundedValue(mean, dev + slack),
-                              term_count=len(terms))
-
-    def _transform_batch(self, X: int) -> tuple[np.ndarray, int]:
-        """(den * C'(0..X) as an integer array, den), C'(0) = 0, sieved from
-        the window; the longest sieve so far is kept and sliced."""
-        if self._batch_memo is None or len(self._batch_memo) <= X:
-            # den * C(n) for 0 <= n <= X, C extended with its period
-            ext = np.resize(np.roll(self._num[:self.period], 1), X + 1)
-            self._batch_memo = dirichlet_sieve(ext, mobius_sieve(X), X)
-        return self._batch_memo[:X + 1], self._den
-
-
-@dataclass(frozen=True)
-class SeriesEstimate:
-    """Windowed partial-sum estimate of a conditionally convergent series.
-
-    value.radius is empirical (observed oscillation), never certified."""
-
-    ell: int
-    cutoff: int
-    value: BoundedValue
-    term_count: int
-    certified: bool = False
+        return cls(ell=ell, cutoff=X, value=BoundedValue(mean, dev + slack),
+                   term_count=len(terms))
 
 
 # -- identity records ---------------------------------------------------------

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ramsmooth import (
     BasicHypothesisError,
     BoundedValue,
     CorrelationTable,
+    SeriesEstimate,
     SmoothContext,
     build_range_q,
     constant_one,
@@ -28,6 +31,7 @@ from ramsmooth import (
     spec_from_table,
     tail_split_identity,
 )
+from ramsmooth.arith import exact_dtype, magnitude
 from ramsmooth.smooth import best_tail_params
 from conftest import make_random_table
 
@@ -325,6 +329,48 @@ class TestFullSeriesEstimate:
             table.full_series_estimate(3, 10)
         with pytest.raises(OverflowError):
             big_table(2 ** 60).full_series_estimate(3, 1000)
+
+
+class TestMultiplesTransform:
+    """The estimate sieves only the multiples of ell (length X // ell)
+    through H_ell; the full sieve of [1, X] is its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), ell=st.integers(1, 36),
+           x=st.integers(0, 20_000))
+    @example(seed=1, ell=1, x=19_996)    # H = C; X = 20000
+    @example(seed=2, ell=4, x=4_001)     # X = 4017, not a multiple
+    @example(seed=3, ell=9, x=9_001)     # X = 9037
+    @example(seed=4, ell=12, x=19_950)   # X = 19998
+    @example(seed=5, ell=36, x=1_000)    # X = 1144
+    def test_estimate_matches_full_sieve(self, seed, ell, x):
+        table = make_random_table(random.Random(seed), seed)
+        X = 4 * ell + x % (20_001 - 4 * ell)
+        terms = [v * table._den for v in table.transform_window(X)[ell - 1::ell]]
+        assert all(v.denominator == 1 for v in terms)
+        vals = np.array([int(v) for v in terms], dtype=object)
+        vals = vals.astype(exact_dtype(magnitude(vals)))
+        assert table.full_series_estimate(ell, X) == \
+            SeriesEstimate.from_terms(ell, X, vals, table._den)
+
+    def test_twist_sums_past_int64_exactly(self):
+        # |C| < 2**59 fits int64, but 2**omega(2310) max|C| does not
+        table = big_table(2 ** 57)
+        assert table._num.dtype == np.int64
+        assert table._multiples_twist(2310).dtype == object
+        X = 4 * 2310 + 7
+        assert table._multiples_transform(2310, X // 2310).tolist() == \
+            table._transform_batch(X)[0][::2310].tolist()
+        # 3 times five primes = 2 (mod 3): |H| = 48 * 2**58 passes 2**63,
+        # so an int64 sum would wrap; the terms match the per-d transform
+        ell = 2 * 3 * 5 * 11 * 17 * 23
+        table = big_table(2 ** 58)
+        assert table._num.dtype == np.int64
+        H = table._multiples_twist(ell)
+        assert H.dtype == object and magnitude(H) >= 2 ** 63
+        got = table._multiples_transform(ell, 4)[1:].tolist()
+        assert got == [table.transform_value(ell * k) * table._den
+                       for k in range(1, 5)]
 
 
 class TestTailSplit:
