@@ -61,6 +61,7 @@ from .functions import (
     constant_one,
     finite_ramanujan_eval,
     format_rational,
+    format_rationals,
     mobius_spec,
     mobius_squared_spec,
     mobius_switch_rhs,

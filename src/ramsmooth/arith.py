@@ -131,27 +131,61 @@ def ramanujan_sum(q: int, n: int) -> int:
 
     n may be any integer; the value only depends on n mod q, and
     c_q(0) = euler_phi(q) (gcd(q, 0) = q).  Always an integer with
-    |c_q(n)| <= gcd(q, n mod q or q).
+    |c_q(n)| <= gcd(q, n mod q or q).  Computed from one factorization
+    of q (see _prime_power_sums).
     """
     if q < 1:
         raise ValueError("ramanujan_sum needs q >= 1")
-    r = n % q
-    g = q if r == 0 else gcd(q, r)
-    return sum(d * mobius(q // d) for d in divisors(g))
+    return _ramanujan_at(_prime_power_sums(q), n)
+
+
+def _prime_power_sums(q: int) -> list[tuple[int, int, int]]:
+    """(p**k, p**(k-1), phi(p**k)) for each p**k || q.
+
+    With g = gcd(q, n), c_q(n) = mu(q/g) phi(q) / phi(q/g): the product
+    over p**k || q of c_{p**k}(n), which is phi(p**k) when p**k | n,
+    -p**(k-1) when p**(k-1) | n but p**k does not, and 0 otherwise.
+    """
+    return [(p ** k, p ** (k - 1), p ** (k - 1) * (p - 1))
+            for p, k in factorize(q).factors]
+
+
+def _ramanujan_at(powers: list[tuple[int, int, int]], n: int) -> int:
+    """c_q(n) from the _prime_power_sums of q, on Python ints."""
+    out = 1
+    for pk, pk1, phi in powers:
+        r = n % pk
+        if r == 0:
+            out *= phi
+        elif r % pk1 == 0:
+            out = -out * pk1
+        else:
+            return 0
+    return out
 
 
 def ramanujan_sums(q: int, ns) -> np.ndarray:
-    """[c_q(n) for n in ns] as an array of exact_dtype(q) (|c_q| <= q).
-    c_q(n) depends on n only through gcd(q, n), so this makes one
-    ramanujan_sum per distinct gcd and one gcd per n."""
-    by_gcd: dict[int, int] = {}
-    out = []
-    for n in ns:
-        g = gcd(q, n)
-        if g not in by_gcd:
-            by_gcd[g] = ramanujan_sum(q, g)
-        out.append(by_gcd[g])
-    return np.array(out, dtype=exact_dtype(q))
+    """[c_q(n) for n in ns] as an array of exact_dtype(q) (|c_q| <= q),
+    from one factorization of q: per p**k || q, one numpy select of the
+    three values of c_{p**k} (see _prime_power_sums) multiplied in, when
+    q and every n fit int64; else the same product per n on Python ints.
+    ns is a range, a sequence or an integer array."""
+    if q < 1:
+        raise ValueError("ramanujan_sums needs q >= 1")
+    powers = _prime_power_sums(q)
+    if isinstance(ns, range) and \
+            exact_dtype(max(abs(ns.start), abs(ns.stop))) is np.int64:
+        ns = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    else:
+        ns = np.asarray(ns)
+    if exact_dtype(q) is object or ns.dtype != np.int64:
+        return np.array([_ramanujan_at(powers, n) for n in ns.tolist()],
+                        dtype=exact_dtype(q))
+    out = np.ones(len(ns), dtype=np.int64)
+    for pk, pk1, phi in powers:
+        r = ns % pk
+        out *= np.where(r == 0, phi, np.where(r % pk1 == 0, -pk1, 0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -193,6 +227,16 @@ def exact_dtype(bound: int):
 def magnitude(x: np.ndarray) -> int:
     """max |x| over an integer array, as a Python int (0 when empty)."""
     return max(int(x.max()), -int(x.min())) if len(x) else 0
+
+
+def exact_sum(x: np.ndarray) -> int:
+    """sum(x) as a Python int, exactly.  An int64 array is summed as its
+    halves x = hi * 2**32 + lo, -2**31 <= hi < 2**31 and 0 <= lo < 2**32,
+    each in int64 when len(x) * (2**32 - 1) fits, so that no partial sum
+    of either half wraps; any other array is summed on Python ints."""
+    if x.dtype != np.int64 or exact_dtype(len(x) * (2 ** 32 - 1)) is object:
+        return int(x.astype(object).sum())
+    return (int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
 
 
 def mobius_sieve(X: int) -> np.ndarray:

@@ -22,9 +22,11 @@ from pathlib import Path
 
 from .arith import euler_phi, factorize, mobius
 from .coefficients import coefficient_record, expansion_partial
-from .correlations import CorrelationTable, seeded_instance, table_period
+from .correlations import CorrelationTable, seeded_instance, table_budget, \
+    table_period
 from .functions import ArithmeticFunctionSpec, CertificateError, RangeQFunction, \
-    catalog_spec, format_rational, parse_function_file, parse_rational, range_q
+    catalog_spec, format_rational, format_rationals, parse_function_file, \
+    parse_rational, range_q
 from .orthogonality import orthogonality_exact, orthogonality_truncated_auto
 from .reef import counterexample_report, find_shifted_orthogonality_violations, \
     residual_profile, ReefInstance
@@ -36,6 +38,15 @@ EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
 
 OUTDIR_ENV = "RAMSMOOTH_OUTDIR"
+
+# Largest smoothness bound --V (coeffs, expand) or --Q (orthogonality).
+# Past it the exact rationals outgrow what can be written: with the
+# catalog functions at their default flags, expand writes up to V = 618
+# (--L 1 to 1000), coeffs up to V = 1326 and orthogonality at every V
+# tried up to 3000; above, a record passes Python's 4300-digit limit for
+# int-to-str conversion after the whole computation.  600 is the round
+# bound below the least of these.
+MAX_SMOOTHNESS = 600
 
 
 class _UsageError(Exception):
@@ -62,7 +73,7 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -87,12 +98,21 @@ def _load_spec(token: str) -> ArithmeticFunctionSpec:
     return catalog_spec(token)
 
 
-def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
+def _smooth_context(bound: int, flag: str) -> SmoothContext:
+    """SmoothContext(bound), once bound is checked against MAX_SMOOTHNESS."""
+    if bound > MAX_SMOOTHNESS:
+        raise _UsageError(f"{flag} {bound} exceeds the smoothness bound "
+                          f"{MAX_SMOOTHNESS}")
+    return SmoothContext(bound)
+
+
+def _load_range_q(token: str, Q: int | None, N: int) -> RangeQFunction:
     """g from any spec token (a catalog id or an @file) whose transform has a
     finite support, as a function of range Q (by default the support).
 
-    The range bound is checked against the table period budget before g
-    is built, since building costs time that grows with the bound.
+    The range bound and the length N are checked against the table budgets
+    before g is built, since building g costs time that grows with the
+    bound and a table of length N costs N * 2 * period.
     """
     spec = _load_spec(token)
     support = spec.transform_support
@@ -102,7 +122,7 @@ def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
     bound = support if Q is None else Q
     if bound < support:
         raise _UsageError(f"--Q {bound} smaller than table support {support}")
-    table_period(bound)
+    table_budget(bound, N)
     return range_q(spec, bound)
 
 
@@ -111,7 +131,7 @@ def _load_range_q(token: str, Q: int | None) -> RangeQFunction:
 
 def _cmd_coeffs(ns: argparse.Namespace) -> tuple[int, list[dict]]:
     spec = _load_spec(ns.function)
-    ctx = SmoothContext(ns.V)
+    ctx = _smooth_context(ns.V, "--V")
     failures = []
     rows = []
     for ell in range(1, ns.ell_max + 1):
@@ -130,7 +150,7 @@ def _cmd_coeffs(ns: argparse.Namespace) -> tuple[int, list[dict]]:
 
 def _cmd_expand(ns: argparse.Namespace) -> tuple[int, list[dict]]:
     spec = _load_spec(ns.function)
-    ctx = SmoothContext(ns.V)
+    ctx = _smooth_context(ns.V, "--V")
     failures = []
     reports = []
     for a in ns.shifts:
@@ -153,7 +173,7 @@ def _cmd_expand(ns: argparse.Namespace) -> tuple[int, list[dict]]:
 
 
 def _cmd_orthogonality(ns: argparse.Namespace) -> tuple[int, list[dict]]:
-    ctx = SmoothContext(ns.Q)
+    ctx = _smooth_context(ns.Q, "--Q")
     indices = smooth_up_to(ctx, ns.max)
     failures = []
     rows = []
@@ -176,7 +196,7 @@ def _cmd_orthogonality(ns: argparse.Namespace) -> tuple[int, list[dict]]:
 
 def _cmd_correlation(ns: argparse.Namespace) -> tuple[int, list[dict]]:
     f_spec = _load_spec(ns.f)
-    g = _load_range_q(ns.g, ns.Q)
+    g = _load_range_q(ns.g, ns.Q, ns.N)
     table = CorrelationTable(f_spec, g, ns.N)
     failures = []
     deviations = table.decomposition_deviations()
@@ -195,7 +215,7 @@ def _cmd_correlation(ns: argparse.Namespace) -> tuple[int, list[dict]]:
         if not formula == mean == transform_side:
             failures.append({"check": "coefficient-three-way", "ell": ell})
     _write_csv(ns.out / "correlation.csv", ["a", "value"],
-               [[a, _rat(table.value(a))] for a in range(1, table.period + 1)])
+               enumerate(format_rationals(*table.period_window()), 1))
     _write_csv(ns.out / "correlation_coeffs.csv",
                ["ell", "formula", "carmichael_mean", "transform_side"],
                coeff_rows)
@@ -212,6 +232,7 @@ def _cmd_correlation(ns: argparse.Namespace) -> tuple[int, list[dict]]:
 
 
 def _cmd_counterexample(ns: argparse.Namespace) -> tuple[int, list[dict]]:
+    table_budget(ns.Q, ns.N)
     report = counterexample_report(ns.N, ns.Q, ns.n0, ns.q0)
     obj = {
         "instance": {"N": ns.N, "Q": ns.Q, "n0": ns.n0, "q0": ns.q0},
@@ -273,6 +294,7 @@ def _cmd_reef_residual(ns: argparse.Namespace) -> tuple[int, list[dict]]:
     if ns.n0 is not None or ns.q0 is not None:
         if None in (ns.n0, ns.q0, ns.Q):
             raise _UsageError("--n0, --q0 and --Q must be given together")
+        table_budget(ns.Q, ns.N)
         instance = ReefInstance(N=ns.N, Q=ns.Q, n0=ns.n0, q0=ns.q0)
         table = instance.table()
         descriptor = {"N": ns.N, "Q": ns.Q, "n0": ns.n0, "q0": ns.q0}
@@ -280,7 +302,7 @@ def _cmd_reef_residual(ns: argparse.Namespace) -> tuple[int, list[dict]]:
         if ns.f is None or ns.g is None:
             raise _UsageError("give --n0/--q0/--Q or --f/--g")
         f_spec = _load_spec(ns.f)
-        g = _load_range_q(ns.g, ns.Q)
+        g = _load_range_q(ns.g, ns.Q, ns.N)
         table = CorrelationTable(f_spec, g, ns.N)
         descriptor = {"f": f_spec.name, "g_range": table.g.Q, "N": ns.N}
     profile = residual_profile(table, ns.a_max, ns.delta)

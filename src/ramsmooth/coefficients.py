@@ -141,8 +141,8 @@ def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
         series = pair_series_exact(ctx, hint, ell)
         return BoundedValue.exact(ctx.totient_product * series / phi)
 
-    def c_ell(ts):  # one ramanujan_sum per distinct gcd(ell, t)
-        return ramanujan_sums(ell, ts.tolist())
+    def c_ell(ts):  # from one factorization of ell
+        return ramanujan_sums(ell, ts)
 
     direct = spec.direct_certificate
     if isinstance(direct, FiniteSupport):

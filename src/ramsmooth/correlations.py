@@ -24,8 +24,8 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
-    exact_dtype, factorize, magnitude, mobius, mobius_sieve, ramanujan_sum, \
-    ramanujan_sums
+    exact_dtype, exact_sum, factorize, magnitude, mobius, mobius_sieve, \
+    ramanujan_sum, ramanujan_sums
 from .coefficients import carmichael_periodic_mean, multiples_sum, \
     rankin_index_tail
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
@@ -56,6 +56,24 @@ def table_period(Q: int) -> int:
         if period > MAX_PERIOD:
             raise ValueError(f"period lcm(1..{Q}) exceeds the budget "
                              f"of {MAX_PERIOD}")
+    return period
+
+
+# Largest N * 2 * period of a table built for the command line: building
+# evaluates f on [1, N] and adds one row of 2 * period products per n.
+# Admits Q = 12 (period 27720) up to N = 36 and period 60 up to
+# N = 16666; a table of period 1 and N = 10**6, the largest it admits at
+# any period, takes about 15 s and 100 MB (2-CPU Xeon VM).
+MAX_TABLE_WORK = 2_000_000
+
+
+def table_budget(Q: int, N: int) -> int:
+    """table_period(Q), after checking that a table of length N and that
+    period fits MAX_TABLE_WORK; ValueError when N * 2 * period does not."""
+    period = table_period(Q)
+    if N * 2 * period > MAX_TABLE_WORK:
+        raise ValueError(f"length {N} times twice the period {period} "
+                         f"exceeds the table budget of {MAX_TABLE_WORK}")
     return period
 
 
@@ -146,6 +164,11 @@ class CorrelationTable:
         """[C(N, 1), ..., C(N, 2 period)], built on first read; the
         identities read the integer window instead."""
         return [Fraction(v, self._den) for v in self._num.tolist()]
+
+    def period_window(self) -> tuple[np.ndarray, int]:
+        """(nums, den) with C(N, a) = nums[a - 1] / den for a in
+        [1, period]: one period of the integer window."""
+        return self._num[:self.period], self._den
 
     def value(self, a: int) -> Fraction:
         """C(N, a) for any a >= 1, via periodicity."""
@@ -418,8 +441,8 @@ class SeriesEstimate:
         # X >= 4 ell puts at least two multiples of ell in the window
         in_window = partials[ds >= X // 2]
         count = len(in_window)
-        # the window sum exceeds int64; fold exactly in Python integers
-        total = int(in_window.astype(object).sum())
+        # the window sum may pass int64
+        total = exact_sum(in_window)
         mean = Fraction(total, count * scale * den)
         lo = Fraction(int(in_window.min()), scale * den)
         hi = Fraction(int(in_window.max()), scale * den)

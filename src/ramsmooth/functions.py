@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,22 +70,37 @@ class GrowthCertificate:
         u, v = self.exponent.numerator, self.exponent.denominator
         return (abs(Fraction(value)) / self.bound) ** v <= Fraction(n) ** u
 
-    def first_violation(self, nums: np.ndarray, dens: list[int],
+    def first_violation(self, nums: np.ndarray, dens,
                         lo: int) -> Optional[int]:
-        """The least n with |nums[i] / dens[i]| > bound * n**exponent,
-        i = n - lo, or None; the window is [lo, lo + len(nums)).
+        """The least n with |nums[i] / d_i| > bound * n**exponent,
+        i = n - lo, or None; the window is [lo, lo + len(nums)), and dens
+        is one d for every index or one d_i per index.
 
         With bound = cn/cd and exponent = u/v, put r = |x| cd and s = d cn
         for the value x/d at n: the claim reads r**v <= n**u s**v, on
         Python ints.  As n**exponent >= 1, r <= s admits n without the
-        powers.
+        powers; that screen runs in numpy when the largest r and s of the
+        window fit int64, and only the indices it does not admit get the
+        exact test (every index, when they do not fit).
         """
         u, v = self.exponent.numerator, self.exponent.denominator
         cn, cd = self.bound.numerator, self.bound.denominator
-        for n, x, d in zip(count(lo), nums.tolist(), dens):
-            r, s = abs(x) * cd, d * cn
-            if r > s and r ** v > n ** u * s ** v:
-                return n
+        each = not isinstance(dens, int)
+        if each:
+            dens = np.asarray(dens)
+        top = max(max(magnitude(nums), 1) * cd,
+                  (max(magnitude(dens), 1) if each else dens) * cn)
+        if exact_dtype(top) is np.int64:
+            r = np.abs(nums.astype(np.int64)) * cd
+            s = dens.astype(np.int64) * cn if each else dens * cn
+            at = np.flatnonzero(r > s).tolist()
+        else:
+            at = range(len(nums))
+        for i in at:
+            d = int(dens[i]) if each else dens
+            r, s = abs(int(nums[i])) * cd, d * cn
+            if r > s and r ** v > (lo + i) ** u * s ** v:
+                return lo + i
         return None
 
     def __str__(self):
@@ -106,10 +120,10 @@ class FiniteSupport:
     def admits(self, n: int, value: Fraction) -> bool:
         return n <= self.bound or value == 0
 
-    def first_violation(self, nums: np.ndarray, dens: list[int],
+    def first_violation(self, nums: np.ndarray, dens,
                         lo: int) -> Optional[int]:
         """The least n > bound with nums[n - lo] != 0, or None; the window
-        is [lo, lo + len(nums))."""
+        is [lo, lo + len(nums)), and dens is not read."""
         skip = max(self.bound + 1 - lo, 0)
         hit = np.flatnonzero(nums[skip:])
         return lo + skip + int(hit[0]) if len(hit) else None
@@ -122,8 +136,8 @@ Certificate = GrowthCertificate | FiniteSupport
 
 # One side of a spec at some indices as integers: (nums, dens) with
 # nums[i] / dens[i] its value at the i-th index; dens is one int for every
-# index, or an integer array with one per index.  The array forms give the
-# indices 0..X, with nums[0] = 0.
+# index, or an integer array with one per index.  An array form, called as
+# array(X, lo), gives the window lo..X, and index 0, when lo = 0, reads 0.
 ExactArray = tuple[np.ndarray, "int | np.ndarray"]
 
 
@@ -147,11 +161,11 @@ class ArithmeticFunctionSpec:
     growth certificate for the relevant side.
 
     values_array and transform_array optionally give a side as one
-    ExactArray on [0, X] (a sieve, a table), which the audit reads in
-    place of one call of the side's callable per index; each must agree
-    with its callable and cost O(X) whatever the spec's parameters (so
-    indicator:n0 has no direct array form: its audit window starts past
-    n0).
+    ExactArray on a window [lo, X] (a sieve, a table), which the audit
+    reads in place of one call of the side's callable per index; each
+    must agree with its callable and cost at most O(X) whatever the spec's
+    parameters.  The direct form of indicator:n0 costs O(X - lo), so its
+    audit window past n0 costs what the window does, not what n0 does.
     """
 
     def __init__(
@@ -332,82 +346,88 @@ class ArithmeticFunctionSpec:
             nums, dens = self._sample(side == "F", lo, hi)
             n = cert.first_violation(nums, dens, lo)
             if n is not None:
-                v = Fraction(int(nums[n - lo]), dens[n - lo])
+                v = Fraction(int(nums[n - lo]), dens if isinstance(dens, int)
+                             else int(dens[n - lo]))
                 raise CertificateError(f"{self.name}: {side}({n}) = {v} "
                                        f"violates the claimed {cert}")
         self._audited = True
 
-    def _sample(self, direct: bool, lo: int,
-                hi: int) -> tuple[np.ndarray, list[int]]:
-        """(nums, dens) with nums[n - lo] / dens[n - lo] = F(n) (direct) or
-        F'(n) on [lo, hi]: a given side as _given_side reads it, or else one
-        Dirichlet sieve of the other side over [1, hi] on that side's
-        common denominator."""
+    def _sample(self, direct: bool, lo: int, hi: int) -> ExactArray:
+        """F (direct) or F' on the window [lo, hi]: a given side as
+        _given_side reads it, or else one Dirichlet sieve of the other side
+        over [0, hi] on that side's common denominator."""
         if (self._values if direct else self._transform) is not None:
-            nums, dens = self._given_side(direct, range(lo, hi + 1))
-        else:
-            given, dens = _over_one_denominator(
-                self._given_side(not direct, range(1, hi + 1)))
-            kernel = np.ones(hi + 1, dtype=np.int64) if direct \
-                else mobius_sieve(hi)
-            nums = dirichlet_sieve(np.concatenate(([0], given)), kernel,
-                                   hi)[lo:]
-        return nums, [dens] * (hi + 1 - lo) if isinstance(dens, int) \
-            else dens.tolist()
+            return self._given_side(direct, range(lo, hi + 1))
+        given, den = _over_one_denominator(
+            self._given_side(not direct, range(hi + 1)))
+        kernel = np.ones(hi + 1, dtype=np.int64) if direct \
+            else mobius_sieve(hi)
+        return dirichlet_sieve(given, kernel, hi)[lo:], den
 
     def _given_side(self, direct: bool, ns) -> ExactArray:
-        """A given side at the ascending indices ns >= 1: on a window
-        ns = range(lo, hi + 1), its array form when it has one; else one
-        call of its callable per index, each value over its own
-        denominator.  An array form costs O(hi) however few the indices,
-        so sparse indices (the smooth t <= X) never read it."""
+        """A given side at the ascending indices ns >= 0, index 0 reading
+        0: on a window ns = range(lo, hi + 1), its array form when it has
+        one; else one call of its callable per index, each value over its
+        own denominator.  An array form may cost O(hi) however few the
+        indices, so sparse indices (the smooth t <= X) never read it."""
         array = self._values_array if direct else self._transform_array
         if array is not None and isinstance(ns, range):
-            nums, dens = array(ns.stop - 1)
-            return (nums[ns.start:],
-                    dens if isinstance(dens, int) else dens[ns.start:])
+            return array(ns.stop - 1, ns.start)
         at = self.evaluate if direct else self.transform_value
-        vals = [at(n) for n in ns]
+        vals = [at(n) if n else Fraction(0) for n in ns]
         return (np.array([x.numerator for x in vals], dtype=object),
                 np.array([x.denominator for x in vals], dtype=object))
 
 
 # -- catalog -------------------------------------------------------------
 
-# Array forms of the catalog callables.  Each is built when the audit asks
-# for it, never at import or construction.
+# Array forms of the catalog callables, each on a window [lo, X] with
+# index 0 reading 0.  Each is built when the audit asks for it, never at
+# import or construction.
 
-def _zeroed(nums: np.ndarray) -> ExactArray:
-    """nums with nums[0] = 0, over the denominator 1."""
-    nums[0] = 0
+def _zeroed(nums: np.ndarray, lo: int) -> ExactArray:
+    """nums on [lo, X] with index 0, when lo = 0, set to 0, over the
+    denominator 1."""
+    if lo == 0:
+        nums[0] = 0
     return nums, 1
 
 
-def _over_index(X: int) -> np.ndarray:
-    """[1, 1, 2, ..., X]: the denominator n at each index n >= 1."""
-    dens = np.arange(X + 1, dtype=np.int64)
-    dens[0] = 1
-    return dens
+def _over_index(X: int, lo: int) -> np.ndarray:
+    """The denominator n at each index n of [lo, X], 1 at index 0."""
+    return np.maximum(np.arange(lo, X + 1, dtype=np.int64), 1)
 
 
-def _multiples(n0: int, X: int) -> np.ndarray:
-    """[mu(n / n0) if n0 | n else 0 for n in 0..X]."""
-    nums = np.zeros(X + 1, dtype=np.int64)
-    nums[n0::n0] = mobius_sieve(X // n0)[1:]
+def _point(n0: int, X: int, lo: int) -> np.ndarray:
+    """[1 if n == n0 else 0 for n in lo..X], in O(X - lo)."""
+    nums = np.zeros(X + 1 - lo, dtype=np.int64)
+    if lo <= n0 <= X:
+        nums[n0 - lo] = 1
     return nums
 
 
-def _table_array(entries: dict[int, Fraction], X: int) -> ExactArray:
-    """The entries at indices <= X placed on [0, X], zero elsewhere, each
-    over its own denominator."""
-    at = [n for n in entries if n <= X]
+def _multiples(n0: int, X: int, lo: int) -> np.ndarray:
+    """[mu(n / n0) if n0 | n else 0 for n in lo..X], n = 0 reading 0, in
+    O(X - lo + X // n0)."""
+    nums = np.zeros(X + 1 - lo, dtype=np.int64)
+    first, last = max(-(-lo // n0), 1), X // n0  # the multiples k n0 inside
+    if first <= last:
+        nums[first * n0 - lo::n0] = mobius_sieve(last)[first:]
+    return nums
+
+
+def _table_array(entries: dict[int, Fraction], X: int,
+                 lo: int) -> ExactArray:
+    """The entries at indices in [lo, X] placed on that window, zero
+    elsewhere, each over its own denominator."""
+    at = [n for n in entries if lo <= n <= X]
     nums = [entries[n].numerator for n in at]
     dens = [entries[n].denominator for n in at]
-    num_array = np.zeros(X + 1,
+    num_array = np.zeros(X + 1 - lo,
                          dtype=exact_dtype(max(map(abs, nums), default=0)))
-    den_array = np.ones(X + 1, dtype=exact_dtype(max(dens, default=1)))
-    num_array[at] = nums
-    den_array[at] = dens
+    den_array = np.ones(X + 1 - lo, dtype=exact_dtype(max(dens, default=1)))
+    num_array[[n - lo for n in at]] = nums
+    den_array[[n - lo for n in at]] = dens
     return num_array, den_array
 
 
@@ -419,7 +439,8 @@ def constant_one() -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(1 if d == 1 else 0),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=FiniteSupport(1),
-        values_array=lambda X: _zeroed(np.ones(X + 1, dtype=np.int64)),
+        values_array=lambda X, lo=0: _zeroed(
+            np.ones(X + 1 - lo, dtype=np.int64), lo),
     )
     # constant-one is the modulus-1 Ramanujan sum; exact Euler-product
     # evaluation of its smooth series reuses that fact.
@@ -441,7 +462,8 @@ def point_mass(n0: int) -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(mobius(d // n0) if d % n0 == 0 else 0),
         direct_certificate=FiniteSupport(n0),
         transform_certificate=GrowthCertificate(1, 0),
-        transform_array=lambda X: (_multiples(n0, X), 1),
+        values_array=lambda X, lo=0: (_point(n0, X, lo), 1),
+        transform_array=lambda X, lo=0: (_multiples(n0, X, lo), 1),
     )
 
 
@@ -455,7 +477,8 @@ def ramanujan_modulus(q0: int) -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(d * mobius(q0 // d) if q0 % d == 0 else 0),
         direct_certificate=GrowthCertificate(q0, 0),
         transform_certificate=FiniteSupport(q0),
-        values_array=lambda X: _zeroed(ramanujan_sums(q0, range(X + 1))),
+        values_array=lambda X, lo=0: _zeroed(
+            ramanujan_sums(q0, range(lo, X + 1)), lo),
     )
     spec.ramanujan_hint = q0
     return spec
@@ -468,7 +491,7 @@ def mobius_spec() -> ArithmeticFunctionSpec:
         values=lambda n: Fraction(mobius(n)),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=GrowthCertificate(2, Fraction(1, 2)),
-        values_array=lambda X: (mobius_sieve(X), 1),
+        values_array=lambda X, lo=0: (mobius_sieve(X)[lo:], 1),
     )
 
 
@@ -478,7 +501,7 @@ def mobius_squared_spec() -> ArithmeticFunctionSpec:
         values=lambda n: Fraction(mobius(n) ** 2),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=GrowthCertificate(1, 0),
-        values_array=lambda X: (mobius_sieve(X) ** 2, 1),
+        values_array=lambda X, lo=0: (mobius_sieve(X)[lo:] ** 2, 1),
     )
 
 
@@ -490,8 +513,10 @@ def totient_ratio_spec() -> ArithmeticFunctionSpec:
         transform=lambda d: Fraction(mobius(d), d),
         direct_certificate=GrowthCertificate(1, 0),
         transform_certificate=GrowthCertificate(1, 0),
-        values_array=lambda X: (totient_sieve(X), _over_index(X)),
-        transform_array=lambda X: (mobius_sieve(X), _over_index(X)),
+        values_array=lambda X, lo=0: (totient_sieve(X)[lo:],
+                                      _over_index(X, lo)),
+        transform_array=lambda X, lo=0: (mobius_sieve(X)[lo:],
+                                         _over_index(X, lo)),
     )
 
 
@@ -547,7 +572,7 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
             values=lambda n: given.get(n, Fraction(0)),
             value_window=top,
             direct_certificate=certificate,
-            values_array=lambda X: _table_array(given, X),
+            values_array=lambda X, lo=0: _table_array(given, X, lo),
         )
     if mode == "eratosthenes":
         mass = sum(abs(v) for v in given.values())
@@ -556,7 +581,7 @@ def spec_from_table(name: str, mode: str, entries: dict[int, Fraction],
             transform=lambda d: given.get(d, Fraction(0)),
             transform_certificate=FiniteSupport(top),
             direct_certificate=certificate or GrowthCertificate(max(mass, 1), 0),
-            transform_array=lambda X: _table_array(given, X),
+            transform_array=lambda X, lo=0: _table_array(given, X, lo),
         )
     raise ValueError(f"unknown table mode {mode!r}")
 
@@ -565,6 +590,24 @@ def format_rational(x: Fraction) -> str:
     """Serialize as numerator/denominator in lowest terms, sign first."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_rationals(nums: np.ndarray, den: int) -> list[str]:
+    """[format_rational(Fraction(x, den)) for x in nums], den >= 1: each
+    x/den in lowest terms, by one np.gcd over the vector when den and
+    every |x| fit int64, else by one math.gcd per entry on Python ints."""
+    if den < 1:
+        raise ValueError("format_rationals needs a denominator >= 1")
+    if exact_dtype(max(magnitude(nums), den)) is np.int64:
+        nums = nums.astype(np.int64, copy=False)
+        common = np.gcd(nums, den)
+        return [f"{p}/{q}" for p, q in zip((nums // common).tolist(),
+                                           (den // common).tolist())]
+    out = []
+    for x in nums.tolist():
+        common = gcd(x, den)
+        out.append(f"{x // common}/{den // common}")
+    return out
 
 
 def parse_rational(text: str) -> Fraction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
-from .arith import euler_phi, mobius, ramanujan_sum
+from .arith import euler_phi, mobius, ramanujan_sum, ramanujan_sums
 from .dyadic import pow_lower
 from .functions import ArithmeticFunctionSpec, RangeQFunction, point_mass, \
     range_q_ramanujan
@@ -150,8 +150,8 @@ def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
         raise ValueError("indices must be smooth")
     if series is None or series.X < X:
         series = SmoothSeries(ctx, X)
-    cq = [ramanujan_sum(q, r) for r in range(q)]
-    cl = [ramanujan_sum(ell, r) for r in range(ell)]
+    cq = ramanujan_sums(q, range(q)).tolist()
+    cl = ramanujan_sums(ell, range(ell)).tolist()
     denom = series.denominator
     num = 0
     for t in series.values:
@@ -231,9 +231,9 @@ def find_shifted_orthogonality_violations(
 
     checked = 0
     for q in indices:
-        cq = [ramanujan_sum(q, r) for r in range(q)]
+        cq = ramanujan_sums(q, range(q)).tolist()
         for ell in indices:
-            cl = [ramanujan_sum(ell, r) for r in range(ell)]
+            cl = ramanujan_sums(ell, range(ell)).tolist()
             rows: dict[int, tuple] = {}
             refined: dict[int, tuple] = {}
 

@@ -491,3 +491,82 @@ class TestCommandsSmoke:
         assert code == 0
         report = json.loads((tmp_path / "reef_residual.json").read_text())
         assert report["rows"][0]["defect"] == "3/2"
+
+
+class TestInputBudgets:
+    @pytest.mark.parametrize("args", [
+        ["counterexample", "--N", "10000000000", "--Q", "5", "--n0", "4",
+         "--q0", "5"],
+        ["correlation", "--f", "mu", "--g", "ramanujan:12", "--Q", "12",
+         "--N", "100000"],
+        # period 1: the budget bounds N itself
+        ["correlation", "--f", "mu", "--g", "constant-one", "--N", "1000001"],
+        ["reef-residual", "--N", "1000000", "--Q", "5", "--n0", "4",
+         "--q0", "5", "--a-max", "3"],
+        ["reef-residual", "--N", "100000", "--f", "mu", "--g",
+         "ramanujan:12", "--Q", "12", "--a-max", "3"],
+    ])
+    def test_table_length_has_budget(self, args, tmp_path, capsys,
+                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("f evaluated or a table built")
+
+        monkeypatch.setattr(ramsmooth.ArithmeticFunctionSpec, "evaluate",
+                            refuse)
+        monkeypatch.setattr(ramsmooth.CorrelationTable, "__init__", refuse)
+        assert run(args, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table budget" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_budget_admits_documented_runs(self, tmp_path):
+        budget = ramsmooth.correlations.MAX_TABLE_WORK
+        table_budget = ramsmooth.correlations.table_budget
+        # the README's counterexample (Q = 12, N = 20) and the benchmark's
+        # correlation cells (Q <= 8 with N <= 80, Q <= 10 with N <= 54)
+        for Q, N in ((12, 20), (8, 80), (10, 54), (12, 36), (1, budget // 2)):
+            table_budget(Q, N)
+        for Q, N in ((12, 37), (1, budget // 2 + 1)):
+            with pytest.raises(ValueError, match="table budget"):
+                table_budget(Q, N)
+        assert run(["counterexample", "--N", "20", "--Q", "12", "--n0", "11",
+                    "--q0", "12"], tmp_path) == 0
+
+    @pytest.mark.parametrize("args, flag", [
+        (["coeffs", "--function", "mu", "--V", "3000", "--ell-max", "2"],
+         "--V 3000"),
+        (["coeffs", "--function", "constant-one", "--V", "601"], "--V 601"),
+        (["expand", "--function", "mu", "--V", "601", "--a", "1"], "--V 601"),
+        (["orthogonality", "--Q", "1000000"], "--Q 1000000"),
+    ])
+    def test_smoothness_has_bound(self, args, flag, tmp_path, capsys,
+                                  monkeypatch):
+        def refuse(*args):
+            raise AssertionError("smooth context built")
+
+        monkeypatch.setattr(cli, "SmoothContext", refuse)
+        assert run(args, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_smoothness_bound_is_written(self, tmp_path):
+        V = str(cli.MAX_SMOOTHNESS)
+        for args in (["coeffs", "--function", "mu", "--V", V, "--ell-max",
+                      "2"],
+                     ["expand", "--function", "mu", "--V", V, "--a", "1",
+                      "--L", "16"],
+                     ["orthogonality", "--Q", V, "--max", "6"]):
+            assert run(args, tmp_path) == 0
+
+    def test_digit_limit_is_one_line(self, tmp_path, capsys):
+        # C(N, 1) = 10**8000 has more digits than Python writes
+        big = 10 ** 4000
+        f, g = tmp_path / "f.tsv", tmp_path / "g.tsv"
+        f.write_text(f"#mode=direct\n1\t{big}\n", encoding="utf-8")
+        g.write_text(f"#mode=eratosthenes\n1\t{big}\n", encoding="utf-8")
+        assert run(["correlation", "--f", f"@{f}", "--g", f"@{g}", "--N",
+                    "1"], tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
