@@ -25,28 +25,22 @@ from .arith import (
     totient_sieve,
 )
 from .coefficients import (
-    CandidateComparison,
     CoefficientRecord,
     ExpansionPartial,
     PeriodicityError,
-    carmichael_empirical,
     carmichael_formula,
     carmichael_periodic_exact,
     coefficient_record,
-    compare_candidate,
     expansion_partial,
     weighted_decay_check,
     wintner_restricted,
-    wintner_to_target,
 )
 from .correlations import (
     BasicHypothesisError,
     CorrelationTable,
-    ExpansionTailTerm,
     SeriesEstimate,
     TailSplitRecord,
     correlation,
-    expansion_tail_term,
     seeded_instance,
     tail_split_identity,
 )
@@ -77,7 +71,6 @@ from .functions import (
 )
 from .intervals import BoundedValue, interval_sum
 from .orthogonality import (
-    absolute_convergence_bound,
     orthogonality_exact,
     orthogonality_truncated,
     orthogonality_truncated_auto,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -69,10 +69,18 @@ def factorize(n: int) -> FactoredInteger:
     """Trial-division factorization of n >= 1."""
     if n < 1:
         raise ValueError("factorize needs n >= 1")
-    m = n
+    return FactoredInteger(n, tuple(_prime_factors(n)))
+
+
+def _prime_factors(m: int) -> list[tuple[int, int]]:
+    """(p, k) with p**k || m, primes ascending, by trial division.
+
+    The prime cache grows only when the division runs past its last prime
+    while p * p <= the unfactored rest, so an m with only small prime
+    factors costs no primes up to sqrt(m).
+    """
     fac: list[tuple[int, int]] = []
     r = isqrt(m)
-    _extend_primes(max(r + 1, 3))
     for p in _PRIME_CACHE:
         if p > r:
             break
@@ -83,9 +91,14 @@ def factorize(n: int) -> FactoredInteger:
                 k += 1
             fac.append((p, k))
             r = isqrt(m)
+    else:
+        if r > _PRIME_CACHE[-1]:
+            # no prime factor of the rest up to the last cached prime
+            _extend_primes(r + 1)
+            return fac + _prime_factors(m)
     if m > 1:
         fac.append((m, 1))
-    return FactoredInteger(n, tuple(fac))
+    return fac
 
 
 def mobius(n: int) -> int:

@@ -9,8 +9,8 @@ coefficient recipes agree on the restriction F_(V):
   totient_product * (1/phi(ell)) * sum over smooth t of F(t) c_ell(t) / t.
 
 Both vanish off the smooth support.  Everything here is an exact rational
-or an interval with a certified radius; truncation policy grows the
-cutoff until a radius target is met rather than ever loosening a bound.
+or an interval with a certified radius at the caller's cutoff X; a tail
+is always bounded, never dropped.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .functions import ArithmeticFunctionSpec, CertificateError, FiniteSupport, 
 from .intervals import BoundedValue, interval_sum
 from .orthogonality import pair_series_exact
 from .smooth import SmoothContext, best_tail_params, euler_product_upper, \
-    refine_cutoff, smooth_up_to
+    smooth_up_to
 
 # Default cutoff X of the truncated coefficient sums: terms up to X are
 # summed exactly, the smooth tail beyond X is bounded by Rankin's trick.
@@ -90,36 +90,6 @@ def multiples_sum(spec: ArithmeticFunctionSpec, ctx: SmoothContext, ell: int,
     return BoundedValue(partial, bound * pow_upper(ell, epsilon - 1) * tail)
 
 
-def rankin_index_tail(ctx: SmoothContext, L: int, weight_bound,
-                      bound: Fraction, epsilon: Fraction) -> Fraction:
-    """Bound on sum over smooth ell > L of w(ell) * |Win_ell| for weights
-    w(ell) <= weight_bound, when |Win_ell| <= bound * ell**(epsilon-1) *
-    (the full smooth series with exponent epsilon - 1): one Rankin tail
-    at L."""
-    _, tail = best_tail_params(ctx, epsilon, L)
-    return weight_bound * bound * euler_product_upper(ctx, epsilon - 1) * tail
-
-
-def wintner_to_target(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
-                      ell: int, target_radius: Fraction = Fraction(1, 10 ** 6),
-                      x_start: int = 1_000, x_cap: int = 10 ** 12,
-                      ) -> BoundedValue:
-    """Double the cutoff until the certified radius meets the target.
-
-    Fails loudly at the cap; rigor is never traded for termination.
-    """
-    def evaluate(X):
-        got = wintner_restricted(spec, ctx, ell, X)
-        return got, got.radius
-
-    got, _, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
-    if not met:
-        raise ArithmeticError(
-            f"{spec.name}: wintner radius target {Fraction(target_radius)} "
-            f"unreachable below cutoff cap {x_cap}")
-    return got
-
-
 def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
                        ell: int, X: int = DEFAULT_CUTOFF) -> BoundedValue:
     """Product-formula Carmichael coefficient for smooth ell.
@@ -155,29 +125,6 @@ def carmichael_formula(spec: ArithmeticFunctionSpec, ctx: SmoothContext,
     center = ctx.totient_product * partial / phi
     radius = ctx.totient_product * ell * cert.bound * tail / phi
     return BoundedValue(center, radius)
-
-
-def carmichael_empirical(spec: ArithmeticFunctionSpec, ell: int,
-                         xs: Sequence[int]) -> list[tuple[int, Fraction]]:
-    """Finite averages (1/phi(ell)) (1/x) sum_{n<=x} F(n) c_ell(n).
-
-    Diagnostic output only: no convergence is claimed for general F.
-    """
-    if not xs:
-        raise ValueError("need at least one averaging length")
-    xs = sorted(set(int(x) for x in xs))
-    if xs[0] < 1:
-        raise ValueError("averaging lengths must be >= 1")
-    phi = euler_phi(ell)
-    out = []
-    acc = Fraction(0)
-    n = 0
-    for x in xs:
-        while n < x:
-            n += 1
-            acc += spec.evaluate(n) * ramanujan_sum(ell, n)
-        out.append((x, acc / (phi * x)))
-    return out
 
 
 def carmichael_periodic_exact(values: Sequence[Fraction], period: int,
@@ -266,8 +213,9 @@ def _index_tail(spec: ArithmeticFunctionSpec, ctx: SmoothContext, L: int,
 
     A finite transform support makes it the exact finite sum over the
     smooth ell in (L, support]; otherwise |Win_ell| <= C * ell**(eps-1) *
-    (full smooth series) under the growth certificate, and the skipped
-    mass is the rankin_index_tail at L.
+    (full smooth series with exponent eps - 1) under the growth
+    certificate, and the skipped mass is weight_bound times C, that
+    series and one Rankin tail at L.
     """
     support = spec.transform_support
     if support is not None:
@@ -275,7 +223,9 @@ def _index_tail(spec: ArithmeticFunctionSpec, ctx: SmoothContext, L: int,
                     for ell in smooth_up_to(ctx, support) if ell > L),
                    Fraction(0))
     cert = _transform_growth(spec)
-    return rankin_index_tail(ctx, L, weight_bound, cert.bound, cert.exponent)
+    _, tail = best_tail_params(ctx, cert.exponent, L)
+    return weight_bound * cert.bound * \
+        euler_product_upper(ctx, cert.exponent - 1) * tail
 
 
 @dataclass(frozen=True)
@@ -325,43 +275,3 @@ def weighted_decay_check(records: Sequence[CoefficientRecord],
     tail = _index_tail(spec, ctx, L, lambda ell: 2 ** omega(ell),
                        2 ** ctx.prime_count)
     return partial, tail
-
-
-@dataclass(frozen=True)
-class CandidateComparison:
-    """Outcome of checking a claimed coefficient system against records."""
-
-    flagged: tuple[int, ...]
-    checked: tuple[int, ...]
-
-    @property
-    def refuted(self) -> bool:
-        return bool(self.flagged)
-
-
-def compare_candidate(candidate: dict[int, Fraction],
-                      records: Sequence[CoefficientRecord],
-                      ctx: SmoothContext) -> CandidateComparison:
-    """Flag every index where the candidate leaves the record's interval.
-
-    A nonempty flag set certifies the candidate is not the coefficient
-    system of the same restriction; an empty one is consistency, never a
-    proof.  Candidate values at non-smooth indices are compared against
-    the exact zero.
-    """
-    by_ell = {rec.ell: rec for rec in records}
-    flagged = []
-    checked = []
-    for ell in sorted(candidate):
-        value = Fraction(candidate[ell])
-        rec = by_ell.get(ell)
-        if rec is None:
-            if ctx.is_smooth(ell):
-                continue
-            rec_interval = BoundedValue.exact(0)
-        else:
-            rec_interval = rec.wintner
-        checked.append(ell)
-        if rec_interval.excludes(value):
-            flagged.append(ell)
-    return CandidateComparison(tuple(flagged), tuple(checked))

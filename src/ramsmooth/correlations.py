@@ -25,13 +25,12 @@ import numpy as np
 
 from .arith import common_denominator, dirichlet_sieve, divisors, euler_phi, \
     exact_dtype, exact_sum, factorize, magnitude, mobius, mobius_sieve, \
-    ramanujan_sum, ramanujan_sums
-from .coefficients import carmichael_periodic_mean, multiples_sum, \
-    rankin_index_tail
+    ramanujan_sums
+from .coefficients import carmichael_periodic_mean, multiples_sum
 from .functions import ArithmeticFunctionSpec, RangeQFunction, build_range_q, \
     spec_from_table
-from .intervals import BoundedValue, interval_sum
-from .smooth import SmoothContext, smooth_up_to
+from .intervals import BoundedValue
+from .smooth import SmoothContext
 
 _FIXED_POINT_BITS = 48
 
@@ -510,43 +509,3 @@ def tail_split_identity(table: CorrelationTable, ctx: SmoothContext, ell: int,
             estimate = full
     return TailSplitRecord(ell=ell, smooth_side=smooth_side, formula=formula,
                            nonsmooth_estimate=estimate)
-
-
-@dataclass(frozen=True)
-class ExpansionTailTerm:
-    """The subtracted correction carried by the smooth-restricted expansion
-    at one smoothness level: sum over smooth ell <= L of
-    (nonsmooth remainder at ell) * c_ell(a), with a certified radius and
-    a certified bound on the skipped ell > L."""
-
-    V: int
-    a: int
-    cutoff: int
-    value: BoundedValue
-
-
-def expansion_tail_term(table: CorrelationTable, ctx: SmoothContext, a: int,
-                        L: int, X: int) -> ExpansionTailTerm:
-    """Certified evaluation of the correction term.
-
-    Each per-ell remainder is formula - smooth Wintner part (an exact
-    rational minus a certified interval), so the whole term inherits a
-    certified radius; the ell > L mass is bounded by a Rankin tail.  For
-    L at least the range bound Q the formula part vanishes in the tail.
-    """
-    if a < 1:
-        raise ValueError("shift must be >= 1")
-    if L < table.g.Q:
-        raise ValueError("coefficient cutoff must cover the range bound")
-    pieces = []
-    for ell in smooth_up_to(ctx, L):
-        remainder = BoundedValue.exact(table.coefficient(ell)) - \
-            table.smooth_wintner(ctx, ell, X)
-        pieces.append(remainder.scale(ramanujan_sum(ell, a)))
-    total = interval_sum(pieces)
-    # ell > L: coefficient(ell) = 0 there, |smooth_wintner| <=
-    # 2**pi(V) max|C| smooth_harmonic / ell, |c_ell(a)| <= a.
-    index_tail = rankin_index_tail(
-        ctx, L, a, 2 ** ctx.prime_count * table.max_abs(), Fraction(0))
-    return ExpansionTailTerm(V=ctx.Q, a=a, cutoff=L,
-                             value=total.widen(index_tail))

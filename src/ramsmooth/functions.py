@@ -255,8 +255,8 @@ class ArithmeticFunctionSpec:
         Mobius pass H(t) = G(t) - G(t/p) per prime p <= Q, and F = F' * 1
         by one zeta pass H(t) = sum_k G(t/p**k) per prime.  Neither reads
         a dense window of [1, X] (an array form, a Dirichlet sieve): X runs
-        to the cutoff caps (10**12 in wintner_to_target, --L in expand),
-        where the smooth t <= X stay few.
+        to a finite support bound (n0 = 10**12 for indicator:10**12) or
+        --L in expand, where the smooth t <= X stay few.
         """
         key = (ctx.Q, direct)
         got = self._smooth_memo.get(key)
@@ -718,11 +718,6 @@ class RangeQFunction:
     Q: int
     gprime: tuple[Fraction, ...]
     ghat: tuple[Fraction, ...]
-
-    def transform_value(self, d: int) -> Fraction:
-        if d < 1:
-            raise ValueError("transform index must be >= 1")
-        return self.gprime[d - 1] if d <= self.Q else Fraction(0)
 
     def coefficient(self, q: int) -> Fraction:
         """ghat(q); zero beyond the range."""

@@ -65,12 +65,6 @@ class BoundedValue:
         k = Fraction(k)
         return BoundedValue(self.center * k, self.radius * abs(k))
 
-    def widen(self, extra) -> "BoundedValue":
-        extra = Fraction(extra)
-        if extra < 0:
-            raise ValueError("widen takes a nonnegative amount")
-        return BoundedValue(self.center, self.radius + extra)
-
 
 def interval_sum(items) -> BoundedValue:
     """Sum of BoundedValues (deterministic left fold)."""

@@ -14,10 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, mobius, ramanujan_sum
+from .arith import divisors, mobius
 from .intervals import BoundedValue
 from .smooth import SmoothContext, SmoothSeries, best_tail_params, \
-    refine_cutoff, smooth_up_to
+    refine_cutoff
+
+# First and largest cutoff of orthogonality_truncated_auto's doubling.
+AUTO_X_START = 10_000
+AUTO_X_CAP = 10 ** 16
 
 
 def orthogonality_exact(q: int, ell: int) -> Fraction:
@@ -107,37 +111,19 @@ def orthogonality_truncated(ctx: SmoothContext, q: int, ell: int, X: int,
 
 def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
                                  target_radius: Fraction,
-                                 x_start: int = 10_000,
-                                 x_cap: int = 10 ** 16,
                                  ) -> tuple[BoundedValue, int]:
-    """(value, X) at the smallest doubling cutoff X whose certified radius
-    meets the target.
+    """(value, X) at the smallest cutoff X = AUTO_X_START * 2**k, up to
+    AUTO_X_CAP, whose certified radius meets the target.
 
     Raises ArithmeticError at the cap instead of silently losing rigor.
     """
     def evaluate(X):
         return None, tail_radius(ctx, q, ell, X)[0]
 
-    _, X, met = refine_cutoff(evaluate, target_radius, x_start, x_cap)
+    _, X, met = refine_cutoff(evaluate, target_radius, AUTO_X_START,
+                              AUTO_X_CAP)
     if not met:
         raise ArithmeticError(
             f"radius target {Fraction(target_radius)} unreachable below "
-            f"cutoff cap {x_cap}")
+            f"cutoff cap {AUTO_X_CAP}")
     return orthogonality_truncated(ctx, q, ell, X), X
-
-
-def absolute_convergence_bound(ctx: SmoothContext, q: int, ell: int,
-                               X: int) -> BoundedValue:
-    """Certified bracket of sum over smooth t of |c_q(t) c_l(t)| / t.
-
-    Partial sum of absolute values up to X plus a q*l Rankin tail; the
-    finite upper end exhibits absolute convergence.
-    """
-    if not (ctx.is_smooth(q) and ctx.is_smooth(ell)):
-        raise ValueError("absolute convergence bound needs q and ell smooth")
-    partial = Fraction(0)
-    for t in smooth_up_to(ctx, X):
-        partial += Fraction(abs(ramanujan_sum(q, t) * ramanujan_sum(ell, t)), t)
-    tail = q * ell * best_tail_params(ctx, Fraction(0), X)[1]
-    return BoundedValue(partial + tail / 2, tail / 2)
-

@@ -25,7 +25,9 @@ from ramsmooth import (
     omega,
     primes_up_to,
     ramanujan_sum,
+    ramanujan_sums,
 )
+from ramsmooth import arith
 
 
 def trial_factor(n: int) -> list[int]:
@@ -136,6 +138,35 @@ class TestFactorize:
     def test_primes_up_to(self):
         assert primes_up_to(13) == [2, 3, 5, 7, 11, 13]
         assert primes_up_to(1) == []
+
+    def test_cache_grows_only_for_the_unfactored_rest(self, monkeypatch):
+        # n with only prime factors in the cache asks for no extension,
+        # however large n is; a hook refuses any request before it runs
+        def refuse(limit):
+            raise AssertionError(f"prime cache extension to {limit}")
+        monkeypatch.setattr(arith, "_extend_primes", refuse)
+        assert factorize(2 ** 64).factors == ((2, 64),)
+        assert factorize(2 ** 200 * 3 ** 5).factors == ((2, 200), (3, 5))
+        assert ramanujan_sums(2 ** 64, range(3)).tolist() == [2 ** 63, 0, 0]
+
+    @pytest.mark.parametrize("n, limits", [
+        (13 * 13, []), (13 * 17, []), (2 ** 10 * 1009 * 1013, [1011]),
+        (6 * 1_000_003, [1001]), (1_000_003, [1001])],
+        ids=["13^2", "13*17", "2^10*1009*1013", "6*1000003", "1000003"])
+    def test_cache_extension_from_a_fresh_cache(self, monkeypatch, n, limits):
+        # from the initial cache, a rest with no factor up to 13 asks once
+        # for the primes up to its own root, not up to sqrt(n)
+        asked = []
+        real = arith._extend_primes
+
+        def recording(limit):
+            asked.append(limit)
+            real(limit)
+        monkeypatch.setattr(arith, "_PRIME_CACHE", [2, 3, 5, 7, 11, 13])
+        monkeypatch.setattr(arith, "_extend_primes", recording)
+        assert [p for p, k in factorize(n).factors for _ in range(k)] == \
+            trial_factor(n)
+        assert asked == limits
 
 
 class TestRamanujanSum:

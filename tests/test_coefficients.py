@@ -11,17 +11,13 @@ from ramsmooth import (
     GrowthCertificate,
     PeriodicityError,
     SmoothContext,
-    carmichael_empirical,
     carmichael_formula,
     carmichael_periodic_exact,
     catalog_spec,
     coefficient_record,
-    compare_candidate,
     constant_one,
     euler_phi,
     expansion_partial,
-    lcm_range,
-    mobius,
     mobius_spec,
     point_mass,
     ramanujan_modulus,
@@ -31,7 +27,6 @@ from ramsmooth import (
     spec_from_table,
     weighted_decay_check,
     wintner_restricted,
-    wintner_to_target,
 )
 from ramsmooth.dyadic import pow_upper
 from ramsmooth.smooth import best_tail_params, euler_product_upper, \
@@ -83,15 +78,6 @@ class TestWintner:
         )
         with pytest.raises(CertificateError):
             wintner_restricted(spec, SmoothContext(2), 2)
-
-    def test_target_radius_policy(self):
-        ctx = SmoothContext(2)
-        got = wintner_to_target(point_mass(1), ctx, 1, Fraction(1, 10 ** 6))
-        assert got.radius <= Fraction(1, 10 ** 6)
-        assert got.contains(Fraction(1, 2))
-        with pytest.raises(ArithmeticError):
-            wintner_to_target(point_mass(1), ctx, 1, Fraction(1, 10 ** 6),
-                              x_start=8, x_cap=16)
 
     def test_interval_soundness_under_refinement(self):
         # recomputing with a larger cutoff lands inside the earlier interval
@@ -185,29 +171,6 @@ class TestCarmichaelFormula:
         got = carmichael_formula(spec, ctx, 2)
         expected = ctx.totient_product * ramanujan_sum(2, 4) / (4 * euler_phi(2))
         assert got == BoundedValue.exact(expected)
-
-
-class TestCarmichaelEmpirical:
-    def test_constant_one_even_lengths(self):
-        out = carmichael_empirical(constant_one(), 2, [2, 4, 6])
-        assert out == [(2, Fraction(0)), (4, Fraction(0)), (6, Fraction(0))]
-
-    def test_point_mass_single_term(self):
-        spec = point_mass(3)
-        ell = 4
-        out = carmichael_empirical(spec, ell, [5, 10, 100])
-        for x, value in out:
-            assert value == Fraction(ramanujan_sum(ell, 3), euler_phi(ell) * x)
-
-    def test_periodic_subsequence_constant(self):
-        spec = ramanujan_modulus(3)
-        ell = 2
-        L = 6  # lcm(period, ell)
-        out = carmichael_empirical(spec, ell, [k * L for k in range(1, 21)])
-        values = {v for _, v in out}
-        assert len(values) == 1
-        assert values.pop() == carmichael_periodic_exact(
-            [spec.evaluate(n) for n in range(1, 13)], 3, ell)
 
 
 class TestCarmichaelPeriodicExact:
@@ -306,32 +269,6 @@ class TestWeightedDecay:
         assert partial == sum(
             2 ** len([p for p in (2, 3) if ell % p == 0]) * abs(r.wintner.center)
             for ell, r in zip(range(1, 13), records))
-
-
-class TestCandidateComparison:
-    def test_centers_clear(self):
-        ctx = SmoothContext(3)
-        spec = ramanujan_modulus(6)
-        records = [coefficient_record(spec, ctx, ell) for ell in range(1, 13)]
-        candidate = {r.ell: r.wintner.center for r in records}
-        report = compare_candidate(candidate, records, ctx)
-        assert not report.refuted
-
-    def test_perturbation_flagged(self):
-        ctx = SmoothContext(3)
-        spec = ramanujan_modulus(6)
-        records = [coefficient_record(spec, ctx, ell) for ell in range(1, 13)]
-        candidate = {r.ell: r.wintner.center for r in records}
-        candidate[6] += 1
-        report = compare_candidate(candidate, records, ctx)
-        assert report.flagged == (6,)
-
-    def test_nonsmooth_support_flagged(self):
-        ctx = SmoothContext(3)
-        spec = ramanujan_modulus(6)
-        records = [coefficient_record(spec, ctx, ell) for ell in range(1, 13)]
-        report = compare_candidate({35: Fraction(1, 7)}, records, ctx)
-        assert report.flagged == (35,)
 
 
 class TestCoefficientRecord:

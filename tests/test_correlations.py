@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ramsmooth import (
     BasicHypothesisError,
-    BoundedValue,
     CorrelationTable,
     SeriesEstimate,
     SmoothContext,
@@ -18,8 +17,6 @@ from ramsmooth import (
     constant_one,
     correlation,
     euler_phi,
-    expansion_tail_term,
-    interval_sum,
     mobius,
     mobius_switch_rhs,
     point_mass,
@@ -314,6 +311,23 @@ class TestSmoothWintner:
             got = table.smooth_wintner(ctx, ell, X)
             assert got.radius == bound * tail / ell, (V, ell, X)
 
+    def test_window_partition(self):
+        # remainders at V versus V' differ by the smooth-window mass:
+        # nonsmooth_V(ell) - nonsmooth_V'(ell) = smoothwin_V'(ell) - smoothwin_V(ell),
+        # checked against a direct enumeration of the window terms
+        table = CorrelationTable(point_mass(2), range_q_ramanujan(5, 5), 10)
+        ctx2, ctx3 = SmoothContext(2), SmoothContext(3)
+        X = 1 << 14
+        for ell in (1, 2, 4):
+            lo = table.smooth_wintner(ctx2, ell, X)
+            hi = table.smooth_wintner(ctx3, ell, X)
+            window = hi - lo
+            direct = Fraction(0)
+            for d in smooth_up_to(ctx3, X):
+                if d % ell == 0 and not ctx2.is_smooth(d):
+                    direct += table.transform_value(d) / d
+            assert window.contains(direct)
+
 
 class TestFullSeriesEstimate:
     def test_tracks_formula_on_counterexample(self):
@@ -394,56 +408,3 @@ class TestTailSplit:
         rec = tail_split_identity(table, SmoothContext(2), 2, 1 << 14,
                                   estimate_cutoff=200_000)
         assert rec.consistent
-
-
-class TestExpansionTailTerm:
-    def test_reproduces_counterexample_defect(self):
-        # the correction term must equal (expansion rhs) - (true value),
-        # which at the canonical shift is mu^2/phi - phi
-        from ramsmooth import reef_rhs
-        q0, n0 = 3, 2
-        table = CorrelationTable(point_mass(n0), range_q_ramanujan(q0, q0),
-                                 q0 + n0)
-        ctx = SmoothContext(q0)
-        expected = reef_rhs(table, 1) - table.value(1)
-        assert expected == Fraction(1, 2) - 2
-        term = expansion_tail_term(table, ctx, a=1, L=1 << 16, X=1 << 19)
-        assert term.value.center == expected
-        assert term.value.radius < Fraction(1, 4)
-        assert term.value.excludes(0)
-
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_index_tail_is_the_table_bound(self, seed):
-        # the ell > L mass: a * 2**pi(V) max|C| smooth_harmonic times the
-        # Rankin tail at L with epsilon = 0
-        table = make_random_table(random.Random(seed), seed, max_N=30,
-                                  q_choices=(2, 3, 4, 5, 6))
-        for V, a, L, X in ((2, 1, 8, 1 << 10), (3, 5, 12, 700),
-                           (5, 2, 30, 1 << 12)):
-            ctx = SmoothContext(V)
-            term = expansion_tail_term(table, ctx, a, L, X)
-            total = interval_sum(
-                (BoundedValue.exact(table.coefficient(ell))
-                 - table.smooth_wintner(ctx, ell, X)).scale(
-                    ramanujan_sum(ell, a))
-                for ell in smooth_up_to(ctx, L))
-            index_tail = a * 2 ** ctx.prime_count * table.max_abs() * \
-                ctx.smooth_harmonic * best_tail_params(ctx, Fraction(0), L)[1]
-            assert term.value == total.widen(index_tail), (V, a, L)
-
-    def test_window_partition(self):
-        # remainders at V versus V' differ by the smooth-window mass:
-        # nonsmooth_V(ell) - nonsmooth_V'(ell) = smoothwin_V'(ell) - smoothwin_V(ell),
-        # checked against a direct enumeration of the window terms
-        table = CorrelationTable(point_mass(2), range_q_ramanujan(5, 5), 10)
-        ctx2, ctx3 = SmoothContext(2), SmoothContext(3)
-        X = 1 << 14
-        for ell in (1, 2, 4):
-            lo = table.smooth_wintner(ctx2, ell, X)
-            hi = table.smooth_wintner(ctx3, ell, X)
-            window = hi - lo
-            direct = Fraction(0)
-            for d in smooth_up_to(ctx3, X):
-                if d % ell == 0 and not ctx2.is_smooth(d):
-                    direct += table.transform_value(d) / d
-            assert window.contains(direct)

@@ -56,10 +56,3 @@ def test_overlap_and_sum():
     assert a.overlaps(b) and not a.overlaps(c)
     total = interval_sum([a, b, c])
     assert total.center == 6 and total.radius == Fraction(5, 4)
-
-
-def test_widen():
-    bv = BoundedValue(Fraction(1), Fraction(1, 8)).widen(Fraction(1, 8))
-    assert bv.radius == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        bv.widen(Fraction(-1))

@@ -9,7 +9,6 @@ import pytest
 from ramsmooth import (
     SmoothContext,
     SmoothSeries,
-    absolute_convergence_bound,
     euler_phi,
     orthogonality_exact,
     orthogonality_truncated,
@@ -122,31 +121,9 @@ class TestSeries:
         assert got.radius <= Fraction(1, 10 ** 4)
         assert got == orthogonality_truncated(ctx, 6, 6, X)
         assert got.contains(euler_phi(6))
+        # no cutoff up to the cap of 10**16 reaches a radius of 10**-40
         with pytest.raises(ArithmeticError):
-            orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4),
-                                         x_start=64, x_cap=128)
-
-
-class TestAbsoluteConvergence:
-    def test_unit_pair_is_harmonic(self):
-        ctx = SmoothContext(2)
-        got = absolute_convergence_bound(ctx, 1, 1, 1 << 10)
-        assert got.contains(2)  # smooth harmonic for Q = 2
-
-    def test_diagonal_two(self):
-        # |c_2(t)| = 1 on powers of two, so the absolute series is again
-        # the smooth harmonic series, value 2
-        ctx = SmoothContext(2)
-        got = absolute_convergence_bound(ctx, 2, 2, 1 << 12)
-        assert got.contains(2)
-        assert got.upper < 3
-
-    def test_upper_bound_monotone_in_cutoff(self):
-        ctx = SmoothContext(3)
-        uppers = []
-        for X in (1 << 8, 1 << 10, 1 << 12):
-            uppers.append(absolute_convergence_bound(ctx, 6, 6, X).upper)
-        assert uppers[0] >= uppers[1] >= uppers[2]
+            orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 40))
 
 
 def test_denominator_identity():

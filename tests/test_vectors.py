@@ -383,17 +383,37 @@ def test_carmichael_weights_scale_with_smooth_indices(tmp_path, monkeypatch):
                                         "ramanujan:100000007"])
 def test_audit_cost_is_free_of_the_catalog_parameter(identifier, tmp_path,
                                                      monkeypatch):
-    """The audit of indicator:n0 and ramanujan:q0 makes O(AUDIT_LIMIT)
-    gcds and no array of n0 or q0 entries, and coeffs runs on them."""
-    calls = []
-    real = arith.gcd
+    """The audit of indicator:n0 and ramanujan:q0 reads O(AUDIT_LIMIT)
+    entries, never n0 or q0: each window it asks of an array form, each
+    vector of c_q0 values and each Mobius sieve it computes holds at most
+    AUDIT_LIMIT entries (a hook refuses a larger one before it runs); and
+    coeffs runs on them."""
+    from ramsmooth import functions
+    spec = catalog_spec(identifier)
+    sizes = {}
 
-    def counting(a, b):
-        calls.append(a)
-        return real(a, b)
-    monkeypatch.setattr(arith, "gcd", counting)
-    catalog_spec(identifier).audit()
-    assert len(calls) <= 2 * AUDIT_LIMIT
+    def counted(kind, real, size):
+        def call(*args):
+            sizes.setdefault(kind, []).append(size(*args))
+            assert sizes[kind][-1] <= AUDIT_LIMIT, (kind, sizes[kind])
+            return real(*args)
+        return call
+    with monkeypatch.context() as patch:
+        patch.setattr(functions, "ramanujan_sums", counted(
+            "c_q0 entries", functions.ramanujan_sums, lambda q, ns: len(ns)))
+        patch.setattr(functions, "mobius_sieve", counted(
+            "sieve length", functions.mobius_sieve, lambda X: X))
+        for name in ("_values_array", "_transform_array"):
+            if getattr(spec, name) is not None:
+                patch.setattr(spec, name, counted(
+                    "window", getattr(spec, name),
+                    lambda X, lo=0: X + 1 - lo))
+        spec.audit()
+    # the hooks are on the audit's path: it reads one window per claim
+    assert sizes["window"] == [AUDIT_LIMIT] * (
+        2 if identifier.startswith("indicator") else 1)
+    if identifier.startswith("ramanujan"):
+        assert sizes["c_q0 entries"] == [AUDIT_LIMIT]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["coeffs", "--function", identifier, "--V", "3",
                      "--out", str(tmp_path)]) == 0
