@@ -346,7 +346,7 @@ def _cmd_verify_all(ns: argparse.Namespace) -> tuple[int, list[dict]]:
     check("orthogonality exact grid Q=3", ok)
     ok = True
     for q in (1, 2, 3, 4):
-        got, _ = orthogonality_truncated_auto(ctx3, q, q, Fraction(1, 100))
+        got = orthogonality_truncated_auto(ctx3, q, q, Fraction(1, 100))
         ok &= got.contains(euler_phi(q))
     check("orthogonality truncated diagonal Q=3", ok)
 

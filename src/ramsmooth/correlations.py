@@ -59,10 +59,11 @@ def table_period(Q: int) -> int:
 
 
 # Largest N * 2 * period of a table built for the command line: building
-# evaluates f on [1, N] and adds one row of 2 * period products per n.
+# reads f on [1, N] (one evaluate per n when f has no array form) and
+# adds one row of 2 * period products per nonzero class of f mod period.
 # Admits Q = 12 (period 27720) up to N = 36 and period 60 up to
-# N = 16666; a table of period 1 and N = 10**6, the largest it admits at
-# any period, takes about 15 s and 100 MB (2-CPU Xeon VM).
+# N = 16666; a table of mu at period 1 and N = 10**6, the largest it
+# admits at any period, is built in under 0.1 s (2-CPU Xeon VM).
 MAX_TABLE_WORK = 2_000_000
 
 
@@ -74,6 +75,15 @@ def table_budget(Q: int, N: int) -> int:
         raise ValueError(f"length {N} times twice the period {period} "
                          f"exceeds the table budget of {MAX_TABLE_WORK}")
     return period
+
+
+def _fold(nums: np.ndarray, P: int) -> np.ndarray:
+    """[sum of nums[n - 1] over the n = i + 1 (mod P) for i < P], in
+    int64 when the number of terms per class times max|nums| fits."""
+    k = -(-len(nums) // P)
+    padded = np.zeros(k * P, dtype=exact_dtype(magnitude(nums) * k))
+    padded[:len(nums)] = nums
+    return padded.reshape(k, P).sum(axis=0)
 
 
 class BasicHypothesisError(ValueError):
@@ -123,28 +133,30 @@ class CorrelationTable:
         self.g = g
         self.N = N
         self.period = table_period(g.Q)
-        self._f_num, self._f_den = common_denominator(
-            [f_spec.evaluate(n) for n in range(1, N + 1)])
-        self._num, self._den = self._build_window()
+        f_num, self._f_den = f_spec.direct_window(N)
+        self._f_fold = _fold(f_num, self.period)
+        self._num, self._den = self._build_window(magnitude(f_num))
         self._ghat_num, self._ghat_den = common_denominator(g.ghat)
         self._residue_sums: dict[int, list[int]] = {}
         self._batch_memo: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
-    def _build_window(self) -> tuple[np.ndarray, int]:
+    def _build_window(self, mf: int) -> tuple[np.ndarray, int]:
+        """The integer window from the folded f, with mf = max |f(n)| f_den."""
         g_num, g_den = self.g.period_table(self.period)
         P = self.period
         # C(a) = num[a - 1] / den over a in [1, 2P] by integer dot products,
-        # int64 only when magnitudes provably fit, else exact Python ints.
-        mf, mg = magnitude(self._f_num), magnitude(g_num)
-        dtype = exact_dtype(max(mf, mg, mf * mg * self.N))
+        # one per nonzero class of f mod P, int64 only when magnitudes
+        # provably fit, else exact Python ints.
+        mg = magnitude(g_num)
+        dtype = exact_dtype(max(mf, magnitude(self._f_fold), mg,
+                                mf * mg * self.N))
         g_num = g_num.astype(dtype, copy=False)
         acc = np.zeros(2 * P, dtype=dtype)
         idx = np.arange(2 * P)
-        for n, fn in enumerate(self._f_num.tolist(), 1):
-            if fn:
-                acc += fn * g_num[(n + idx) % P]
+        for i in np.flatnonzero(self._f_fold).tolist():
+            acc += int(self._f_fold[i]) * g_num[(i + 1 + idx) % P]
         bad = np.flatnonzero(acc[:P] != acc[P:])
         if len(bad):
             raise ArithmeticError(
@@ -199,9 +211,13 @@ class CorrelationTable:
     # -- coefficient identities ---------------------------------------------
 
     def _residue_table(self, q: int) -> list[int]:
-        """[f_den * sum_{n<=N} f(n) c_q(n+r) for r in 0..q-1] via class sums."""
+        """[f_den * sum_{n<=N} f(n) c_q(n+r) for r in 0..q-1] via class
+        sums, for q | period (every q <= Q)."""
+        if self.period % q:
+            raise ValueError(f"modulus {q} does not divide the period "
+                             f"{self.period}")
         if q not in self._residue_sums:
-            f = self._f_num.tolist()
+            f = self._f_fold.tolist()
             by_class = [sum(f[i::q]) for i in range(q)]  # n = i + 1 (mod q)
             c_q = ramanujan_sums(q, range(2 * q)).tolist()
             self._residue_sums[q] = [

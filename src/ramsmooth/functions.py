@@ -352,6 +352,16 @@ class ArithmeticFunctionSpec:
                                        f"violates the claimed {cert}")
         self._audited = True
 
+    def direct_window(self, N: int) -> tuple[np.ndarray, int]:
+        """(nums, den) with F(n) = nums[n - 1] / den for n in [1, N], on
+        one common denominator: F's array form when it has one, else one
+        evaluate per n (see _given_side).  Past a value window it raises
+        the IndexError of evaluate."""
+        if self.value_window is not None and N > self.value_window:
+            raise IndexError(f"{self.name}: n={self.value_window + 1} beyond "
+                             f"value window {self.value_window}")
+        return _over_one_denominator(self._given_side(True, range(1, N + 1)))
+
     def _sample(self, direct: bool, lo: int, hi: int) -> ExactArray:
         """F (direct) or F' on the window [lo, hi]: a given side as
         _given_side reads it, or else one Dirichlet sieve of the other side

@@ -110,10 +110,9 @@ def orthogonality_truncated(ctx: SmoothContext, q: int, ell: int, X: int,
 
 
 def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
-                                 target_radius: Fraction,
-                                 ) -> tuple[BoundedValue, int]:
-    """(value, X) at the smallest cutoff X = AUTO_X_START * 2**k, up to
-    AUTO_X_CAP, whose certified radius meets the target.
+                                 target_radius: Fraction) -> BoundedValue:
+    """The truncation at the smallest cutoff X = AUTO_X_START * 2**k, up
+    to AUTO_X_CAP, whose certified radius meets the target.
 
     Raises ArithmeticError at the cap instead of silently losing rigor.
     """
@@ -126,4 +125,4 @@ def orthogonality_truncated_auto(ctx: SmoothContext, q: int, ell: int,
         raise ArithmeticError(
             f"radius target {Fraction(target_radius)} unreachable below "
             f"cutoff cap {AUTO_X_CAP}")
-    return orthogonality_truncated(ctx, q, ell, X), X
+    return orthogonality_truncated(ctx, q, ell, X)

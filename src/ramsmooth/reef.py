@@ -11,6 +11,7 @@ claim for certified violations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -134,6 +135,16 @@ def _certified_point(ctx: SmoothContext, q: int, ell: int, n: int, X: int,
         claimed=claimed, cutoff=X, delta=delta)
 
 
+def _excludes(tp: Fraction, num: int, D: int, claim: int,
+              radius: Fraction) -> bool:
+    """BoundedValue(tp * num / D, radius).excludes(claim), for D >= 1, on
+    integers: with tp = a/b and radius = rn/rd, the closed interval
+    misses the claim iff |a num - claim b D| rd > rn b D."""
+    bD = tp.denominator * D
+    return abs(tp.numerator * num - claim * bD) * radius.denominator > \
+        radius.numerator * bD
+
+
 def shifted_orthogonality_eval(ctx: SmoothContext, q: int, ell: int, n: int,
                                X: int, series: SmoothSeries | None = None,
                                ) -> ShiftedOrthogonalityPoint:
@@ -184,12 +195,25 @@ def find_shifted_orthogonality_violations(
     c_q(n+t) depends on t only mod q, so for each (q, ell, X) the terms
     are summed once per residue class, A_r = sum over smooth t <= X with
     t = r (mod q) of c_l(t) D/t, and every shift n costs
-    sum_r c_q(n+r) A_r: the same numerator over D as the term-by-term sum.
-    The weights D/t of a cutoff come from its SmoothSeries, and they are
-    binned once per (X, m) with m = lcm(q, ell) into B[x], the sum of
-    D/t over the smooth t <= X with t = x (mod m), kept for the nonzero
-    residues only; each row is then folded as
-    A_r = sum over x = r (mod q) of c_l(x mod ell) B[x].
+    sum_r c_q(n+r) A_r: the same numerator over D = D(X) as the
+    term-by-term sum, D(X) the product over p <= Q of the largest power
+    of p up to X (p itself when p > X).  The weights D/t are binned once
+    per (X, m) with m = lcm(q, ell) into B[x], the sum of D/t over the
+    smooth t <= X with t = x (mod m), kept for the nonzero residues only;
+    each row is then folded as A_r = sum over x = r (mod q) of
+    c_l(x mod ell) B[x].
+
+    Every point refines on the one schedule X -> min(2X, x_cap) from
+    x_start, so a cutoff costs only its new terms.  The smooth t <= X are
+    enumerated once per sweep and grown at each new cutoff X from the one
+    before it, X0 >= X / 2: a new t in (X0, X] is p s with s <= X0
+    already listed.  D(X0) divides D(X), so
+    B_X[x] = B_X0[x] D(X)/D(X0) + sum over the new t = x (mod m) of D(X)/t.
+
+    A point is decided on integers: with totient_product = a/b, radius
+    rn/rd and claim c, the interval excludes the claim iff
+    |a num - c b D| rd > rn b D.  Its Fractions and BoundedValue are
+    built only at the cutoff where the refinement stops.
 
     A point, its claim [q == ell] c_l(n) included, depends on the shift n
     only mod q, so the cutoff is refined once per (q, ell, n mod q) and
@@ -204,30 +228,66 @@ def find_shifted_orthogonality_violations(
         shifts += [m, -m]
     witnesses: list[ShiftedOrthogonalityPoint] = []
     undecided: list[ShiftedOrthogonalityPoint] = []
-    series_cache: dict[int, SmoothSeries] = {}
+    # the smooth t up to the largest cutoff so far, ascending, and per
+    # cutoff X: (X0, D(X), the t in (X0, X], their weights D(X) // t),
+    # with X0 the cutoff before X (None for x_start)
+    terms: list[int] = []
+    cutoffs: dict[int, tuple] = {}
     bins_cache: dict[tuple[int, int], dict[int, int]] = {}
 
+    def cutoff(X):
+        got = cutoffs.get(X)
+        if got is None:
+            X0 = max(cutoffs, default=None)
+            if X0 is None:
+                new = smooth_up_to(ctx, X)
+            elif not X0 < X <= 2 * X0:
+                raise ValueError(f"cutoff {X} does not follow {X0} on the "
+                                 "doubling schedule")
+            else:
+                grown = set()
+                for p in ctx.primes:
+                    grown.update(p * s for s in terms[
+                        bisect_right(terms, X0 // p):
+                        bisect_right(terms, X // p)])
+                new = sorted(grown)
+            terms.extend(new)
+            D = 1
+            for p in ctx.primes:
+                pk = p
+                while pk * p <= X:
+                    pk *= p
+                D *= pk
+            got = cutoffs[X] = X0, D, new, [D // t for t in new]
+        return got
+
     def binned(X, m):
-        """(B, D): the weights D/t of the smooth t <= X summed per
-        residue t mod m, and their denominator D."""
-        series = series_cache.get(X)
-        if series is None:
-            series = series_cache[X] = SmoothSeries(ctx, X)
+        """The weights D(X)/t of the smooth t <= X summed per residue
+        t mod m, carried from the bins of the cutoff X0 before X.  Rows
+        refine from x_start up, so those are kept already.  A lookup
+        makes no reference cycle (a recursive call would), so the
+        sweep's lists are freed when it returns."""
         bins = bins_cache.get((X, m))
         if bins is None:
-            bins = bins_cache[X, m] = {}
-            for t, w in zip(series.values, series.weights):
-                bins[t % m] = bins.get(t % m, 0) + w
-        return bins, series.denominator
+            X0, D, new, weights = cutoff(X)
+            if X0 is None:
+                bins = {}
+            else:
+                scale = D // cutoffs[X0][1]
+                bins = {x: w * scale for x, w in bins_cache[X0, m].items()}
+            for t, w in zip(new, weights):
+                x = t % m
+                bins[x] = bins.get(x, 0) + w
+            bins_cache[X, m] = bins
+        return bins
 
     def row(q, ell, cl, X):
         """What every shift of (q, ell) shares at cutoff X: the residue
-        class sums, their denominator and the tail radius."""
-        bins, denom = binned(X, lcm(q, ell))
+        class sums, their denominator D(X) and the tail_radius pair."""
         sums = [0] * q
-        for x, b in bins.items():
-            sums[x % q] += cl[x % ell] * b
-        return sums, denom, tail_radius(ctx, q, ell, X)
+        for x, w in binned(X, lcm(q, ell)).items():
+            sums[x % q] += cl[x % ell] * w
+        return sums, cutoffs[X][1], tail_radius(ctx, q, ell, X)
 
     checked = 0
     for q in indices:
@@ -240,21 +300,24 @@ def find_shifted_orthogonality_violations(
             def evaluate(n, X):
                 if X not in rows:
                     rows[X] = row(q, ell, cl, X)
-                sums, denom, tail = rows[X]
-                num = sum(cq[(n + r) % q] * a for r, a in enumerate(sums))
-                point = _certified_point(ctx, q, ell, n, X, num, denom, tail)
+                sums, D, (radius, _) = rows[X]
+                num = sum(cq[(n + r) % q] * s for r, s in enumerate(sums))
+                violated = _excludes(ctx.totient_product, num, D,
+                                     cl[n % ell] if q == ell else 0, radius)
                 # an interval that already excludes the claim needs no
                 # narrowing: radius 0 makes refine_cutoff stop at the first
                 # X that excludes it
-                return point, 0 if point.violated else point.value.radius
+                return (num, violated), 0 if violated else radius
 
             for n in shifts:
                 checked += 1
                 if n % q not in refined:
-                    point, _, met = refine_cutoff(
+                    (num, violated), X, met = refine_cutoff(
                         lambda X: evaluate(n, X), target_radius, x_start,
                         x_cap)
-                    refined[n % q] = point, point.violated, met
+                    _, D, tail = rows[X]
+                    point = _certified_point(ctx, q, ell, n, X, num, D, tail)
+                    refined[n % q] = point, violated, met
                 point, violated, met = refined[n % q]
                 if violated:
                     witnesses.append(replace(point, n=n))

@@ -14,6 +14,7 @@ from ramsmooth import (
     SeriesEstimate,
     SmoothContext,
     build_range_q,
+    catalog_spec,
     constant_one,
     correlation,
     euler_phi,
@@ -90,6 +91,39 @@ class TestTable:
         assert "values" not in vars(table)
         assert table.values == [table.value(a)
                                 for a in range(1, 2 * table.period + 1)]
+
+    @pytest.mark.parametrize("make_f", [
+        lambda N: catalog_spec("mu"),
+        lambda N: spec_from_table("direct", "direct", {
+            n: Fraction(n % 7 - 3, n % 4 + 1) for n in range(1, N + 1)
+            if n % 5 or n == N})], ids=["mu", "direct"])
+    @pytest.mark.parametrize("q0, Q", [(4, 4), (6, 6)])
+    def test_f_folded_by_the_period(self, monkeypatch, make_f, q0, Q):
+        # N past three periods, not a multiple of one: f is read through
+        # its array form, never one evaluate per n, and folded mod P
+        g = range_q_ramanujan(q0, Q)
+        P = lcm(*range(1, Q + 1))
+        N = 3 * P + 5
+        f = make_f(N)
+
+        def no_evaluate(n):
+            raise AssertionError(f"evaluate({n}) on a spec with an array form")
+
+        monkeypatch.setattr(f, "evaluate", no_evaluate)
+        table = CorrelationTable(f, g, N)
+        monkeypatch.undo()
+        assert table.period == P
+        for a in range(1, P + 1):
+            assert table.value(a) == correlation(make_f(N), g, N, a)
+        assert not table.decomposition_deviations()
+
+    def test_fold_past_int64(self):
+        # class sums of f past int64, against a zero g as well
+        f = spec_from_table("big", "direct", {n: 2 ** 62 for n in range(1, 41)})
+        for g1 in (0, 1):
+            table = CorrelationTable(f, build_range_q(1, [Fraction(g1)]), 40)
+            assert table.value(1) == g1 * 40 * 2 ** 62
+            assert not table.decomposition_deviations()
 
     def test_decomposition_identity_random(self):
         rng = random.Random(11)

@@ -20,6 +20,7 @@ from ramsmooth import (
 )
 from ramsmooth import arith
 from ramsmooth.cli import main
+from ramsmooth.orthogonality import AUTO_X_START, tail_radius
 
 
 def expected(q, ell):
@@ -117,8 +118,12 @@ class TestSeries:
 
     def test_auto_meets_target(self):
         ctx = SmoothContext(5)
-        got, X = orthogonality_truncated_auto(ctx, 6, 6, Fraction(1, 10 ** 4))
-        assert got.radius <= Fraction(1, 10 ** 4)
+        target = Fraction(1, 10 ** 4)
+        X = AUTO_X_START
+        while tail_radius(ctx, 6, 6, X)[0] > target:
+            X *= 2
+        got = orthogonality_truncated_auto(ctx, 6, 6, target)
+        assert X > AUTO_X_START and got.radius <= target
         assert got == orthogonality_truncated(ctx, 6, 6, X)
         assert got.contains(euler_phi(6))
         # no cutoff up to the cap of 10**16 reaches a radius of 10**-40

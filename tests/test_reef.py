@@ -1,9 +1,11 @@
 """Expansion-defect experiments: counterexample, falsifier, residuals."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ramsmooth import (
     CorrelationTable,
@@ -29,6 +31,7 @@ from ramsmooth import (
 )
 from ramsmooth import reef, smooth
 from ramsmooth.dyadic import pow_upper
+from ramsmooth.intervals import BoundedValue
 from conftest import make_random_table
 
 
@@ -155,21 +158,27 @@ class TestShiftedOrthogonality:
             assert replay.value.radius == p.value.radius
             assert (replay.delta, replay.claimed) == (p.delta, p.claimed)
 
-    @pytest.mark.parametrize("stop_after", [1, 3, None])
-    def test_sweep_refines_once_per_shift_residue(self, monkeypatch,
-                                                   stop_after):
+    @pytest.mark.parametrize(
+        "Q, index_bound, x_start, x_cap, stop_after",
+        [pytest.param(3, 6, 1 << 10, 1 << 16, stop, id=str(stop))
+         for stop in (1, 3, None)] +
+        # x_start not a power of two, the last doubling clamped at the
+        # cap, and every prime power in (10**4, 10**5] a step of D(X)
+        [pytest.param(7, 12, 10_000, 100_000, None, id="Q7-None")])
+    def test_sweep_refines_once_per_shift_residue(
+            self, monkeypatch, Q, index_bound, x_start, x_cap, stop_after):
         # reference: every shift refined on its own, each cutoff priced by
         # the term-by-term evaluator
-        ctx = SmoothContext(3)
-        x_start, x_cap, target = 1 << 10, 1 << 16, Fraction(1, 100)
+        ctx = SmoothContext(Q)
+        target = Fraction(1, 100)
         series = SmoothSeries(ctx, x_cap)
         shifts = [s for m in range(1, 5) for s in (m, -m)]
         witnesses, undecided, visited, checked = [], [], set(), 0
 
         def reference():
             nonlocal checked
-            for q in smooth_up_to(ctx, 6):
-                for ell in smooth_up_to(ctx, 6):
+            for q in smooth_up_to(ctx, index_bound):
+                for ell in smooth_up_to(ctx, index_bound):
                     for n in shifts:
                         checked += 1
                         visited.add((q, ell, n % q))
@@ -197,14 +206,29 @@ class TestShiftedOrthogonality:
 
         monkeypatch.setattr(reef, "refine_cutoff", counting)
         outcome = find_shifted_orthogonality_violations(
-            SmoothContext(3), index_bound=6, shift_bound=4, x_start=x_start,
-            x_cap=x_cap, target_radius=target, stop_after=stop_after)
+            SmoothContext(Q), index_bound=index_bound, shift_bound=4,
+            x_start=x_start, x_cap=x_cap, target_radius=target,
+            stop_after=stop_after)
         assert len(calls) == len(visited) < checked
         assert outcome.points_checked == checked
         assert outcome.witnesses == tuple(witnesses)
         assert outcome.undecided == tuple(undecided)
         assert witnesses
         assert stop_after in (None, len(witnesses))
+
+    def test_sweep_leaves_no_reference_cycle(self):
+        # the sweep's enumeration and bins are freed by reference counting
+        # when it returns, not at some later cyclic collection
+        gc.collect()
+        gc.disable()
+        try:
+            find_shifted_orthogonality_violations(
+                SmoothContext(5), index_bound=4, shift_bound=2,
+                x_start=1 << 10, x_cap=1 << 16,
+                target_radius=Fraction(1, 100), stop_after=None)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_sweep_computes_tail_bounds_once_per_context(self, monkeypatch):
         # 15 grid deltas: one Euler product per delta (one power per
@@ -231,6 +255,31 @@ class TestShiftedOrthogonality:
         fresh = SmoothContext(5)
         assert fresh == ctx and hash(fresh) == hash(ctx)
         assert repr(fresh) == repr(ctx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tp=st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1),
+           num=st.integers(-10 ** 30, 10 ** 30),
+           D=st.integers(1, 10 ** 24), claim=st.integers(-12, 12),
+           radius=st.fractions(min_value=0, max_value=10),
+           gap_radius=st.booleans())
+    @example(tp=Fraction(8, 35), num=35, D=8, claim=0, radius=Fraction(0),
+             gap_radius=True)         # centre 1, radius 1: the claim 0 on it
+    @example(tp=Fraction(1, 3), num=-6, D=1, claim=-2, radius=Fraction(0),
+             gap_radius=False)        # centre on the claim, radius 0
+    def test_integer_decision_matches_the_interval(self, tp, num, D, claim,
+                                                   radius, gap_radius):
+        # the sweep's integer test against the Fraction interval, on both
+        # sides of the closed boundary |centre - claim| = radius
+        center = tp * Fraction(num, D)
+        if gap_radius:
+            radius = abs(center - claim)
+        want = BoundedValue(center, radius).excludes(claim)
+        assert reef._excludes(tp, num, D, claim, radius) == want
+        if gap_radius:
+            assert not want
+            if radius:
+                tighter = radius * Fraction(10 ** 9 - 1, 10 ** 9)
+                assert reef._excludes(tp, num, D, claim, tighter)
 
 
 class TestResiduals:
